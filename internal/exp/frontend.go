@@ -7,12 +7,20 @@ package exp
 //
 //   - frontEnd: the machine-independent pipeline prefix (compile →
 //     if-convert → region formation → value profile), keyed by benchmark
-//     source hash and the pass configurations.
-//   - origLens: original schedule lengths of every block, keyed by front
-//     end + machine description + DDG options.
-//   - interp run: the sequential reference result of the front-end program.
+//     source hash and the pass configurations — including the set of
+//     predictor families the profile meters.
+//   - origLens: original schedule lengths of every block, keyed by the
+//     program (the front end before its profile pass) + machine
+//     description + DDG options.
+//   - interp run: the sequential reference result of the front-end
+//     program, keyed by the program.
 //   - base run: the baseline (no-speculation) dual-engine cycle count,
-//     validated against the interp run when computed.
+//     validated against the interp run when computed, keyed by the program
+//     and the machine-side configuration.
+//
+// Only the profile depends on the predictor config, so runners that differ
+// in predictor alone share one interpreter run, one baseline run and one
+// set of schedule lengths per kernel.
 //
 // Anything downstream of speculate.Transform is configuration-dependent and
 // deliberately NOT cached here. See DESIGN.md ("Compile-cache keying").
@@ -77,15 +85,24 @@ func (r *Runner) frontBase(b *workload.Benchmark) string {
 }
 
 // frontKey is the cumulative per-pass cache key of the full front-end
-// plan; the lens/interp/base caches key off it.
+// plan; compiled products key off it.
 func (r *Runner) frontKey(b *workload.Benchmark) string {
 	pl := r.FrontPlan()
 	return pl.Key(r.frontBase(b), len(pl.Passes))
 }
 
+// progKey is the cumulative cache key of the front-end plan before its
+// value-profile pass: it fingerprints the front-end program, which the
+// profile does not change. The lens/interp/base caches key off it.
+func (r *Runner) progKey(b *workload.Benchmark) string {
+	pl := r.FrontPlan()
+	return pl.Key(r.frontBase(b), len(pl.Passes)-1)
+}
+
 // FrontPlan is the machine-independent pipeline prefix the runner's
 // configuration selects: compile, optimize, optional if-conversion and
-// region formation, value profile. Every pass in it is cacheable, so runs
+// region formation, value profile. The profile meters only the predictor
+// families r.Cfg.Predictor can read. Every pass in it is cacheable, so runs
 // that agree on a prefix share its per-pass cache entries.
 func (r *Runner) FrontPlan() pipeline.Plan {
 	passes := []pipeline.Pass{pipeline.Lower{}, pipeline.Opt{}}
@@ -100,7 +117,7 @@ func (r *Runner) FrontPlan() pipeline.Plan {
 		passes = append(passes, pipeline.Regions{Cfg: r.RegionsCfg})
 		name += "+regions"
 	}
-	passes = append(passes, pipeline.Profile{})
+	passes = append(passes, pipeline.Profile{Meters: profile.MetersFor(r.Cfg.Predictor)})
 	return pipeline.Plan{Name: name, Passes: passes}
 }
 
@@ -180,7 +197,7 @@ func (r *Runner) specImageFor(b *workload.Benchmark) (*Compiled, error) {
 // front-end program, shared across configurations that agree on machine and
 // DDG options. The returned map is read-only.
 func (r *Runner) origLensFor(b *workload.Benchmark, fe *frontEnd) (map[profile.BlockKey]int, error) {
-	key := fmt.Sprintf("lens|%s|d=%+v|g=%+v", r.frontKey(b), *r.D, r.DDG)
+	key := fmt.Sprintf("lens|%s|d=%+v|g=%+v", r.progKey(b), *r.D, r.DDG)
 	v, err := r.cacheFor().Do(key, func() (any, error) {
 		return r.computeOrigLens(fe.Prog), nil
 	})
@@ -193,7 +210,7 @@ func (r *Runner) origLensFor(b *workload.Benchmark, fe *frontEnd) (map[profile.B
 // interpRunFor returns the sequential reference result of the front-end
 // program — the value every simulated run must reproduce.
 func (r *Runner) interpRunFor(b *workload.Benchmark, fe *frontEnd) (uint64, error) {
-	key := "interp|" + r.frontKey(b)
+	key := "interp|" + r.progKey(b)
 	v, err := r.cacheFor().Do(key, func() (any, error) {
 		got, err := interp.New(fe.Prog).RunMain()
 		if err != nil {
@@ -216,7 +233,7 @@ func (r *Runner) interpRunFor(b *workload.Benchmark, fe *frontEnd) (uint64, erro
 // config are part of the key: baseline cycles move with cache latency
 // and branch handling even though the architectural result does not.
 func (r *Runner) baseRunFor(b *workload.Benchmark, fe *frontEnd) (baseRun, error) {
-	key := fmt.Sprintf("base|%s|d=%+v|g=%+v|m=%s|c=%s", r.frontKey(b), *r.D, r.DDG, r.Mem.Key(), r.Cfg.Control.Key())
+	key := fmt.Sprintf("base|%s|d=%+v|g=%+v|m=%s|c=%s", r.progKey(b), *r.D, r.DDG, r.Mem.Key(), r.Cfg.Control.Key())
 	v, err := r.cacheFor().Do(key, func() (any, error) {
 		sim, err := r.NewSimulatorFor(fe.Prog, nil)
 		if err != nil {

@@ -1,11 +1,13 @@
 package exp_test
 
 import (
+	"strings"
 	"testing"
 
 	"vliwvp/internal/exp"
 	"vliwvp/internal/exp/cache"
 	"vliwvp/internal/machine"
+	"vliwvp/internal/predict"
 	"vliwvp/internal/workload"
 )
 
@@ -136,5 +138,43 @@ func TestRunnerSharesFrontEndAcrossConfigs(t *testing.T) {
 	}
 	if n3 := c.Len(); n3 <= n1 {
 		t.Errorf("front-end knob did not add cache entries (still %d); keying too coarse", n3)
+	}
+}
+
+// TestPredictorSweepSharesProgramProducts pins the keying of the
+// predictor-independent products: two runners that differ only in
+// predictor ("profiled" and "auto") profile separately — they meter
+// different families — but share one interpreter run and one baseline
+// simulation of the kernel, counted by the cache hook.
+func TestPredictorSweepSharesProgramProducts(t *testing.T) {
+	c := cache.New()
+	ran := map[string]int{}
+	c.Hook = func(key string, computed bool) {
+		if !computed {
+			return
+		}
+		switch {
+		case strings.HasPrefix(key, "interp|"):
+			ran["interp"]++
+		case strings.HasPrefix(key, "base|"):
+			ran["base"]++
+		case strings.HasPrefix(key, "fe|") && strings.Contains(key, "/profile="):
+			ran["profile"]++
+		}
+	}
+	b := workload.All()[0]
+	for _, spec := range []string{"profiled", "auto"} {
+		cfg, err := predict.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := goldenRunner(1, c)
+		r.Cfg.Predictor = cfg
+		if _, err := r.Speedup(b); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+	}
+	if ran["profile"] != 2 || ran["interp"] != 1 || ran["base"] != 1 {
+		t.Errorf("computed %v; want 2 profiles, 1 interpreter run, 1 baseline run", ran)
 	}
 }

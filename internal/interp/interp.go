@@ -39,18 +39,63 @@ type Machine struct {
 	Steps    int64
 	MaxSteps int64 // 0 means DefaultMaxSteps
 	Hooks    Hooks
+
+	// lea holds each function's Lea addresses by op ID, resolved once by
+	// New (0: not resolved, look the global up by name); leaF/leaT cache
+	// the table of the function that last executed a Lea.
+	lea  map[*ir.Func][]int
+	leaF *ir.Func
+	leaT []int
 }
 
 // DefaultMaxSteps bounds runaway programs in tests and profiling runs.
 const DefaultMaxSteps = 1 << 30
 
-// New builds a machine with the program's linked memory image.
+// New builds a machine with the program's linked memory image and
+// resolves every Lea operand to its global's address.
 func New(p *ir.Program) *Machine {
-	m := &Machine{Prog: p, Mem: make([]uint64, p.MemWords)}
+	m := &Machine{Prog: p, Mem: make([]uint64, p.MemWords), lea: make(map[*ir.Func][]int, len(p.Funcs))}
 	for _, g := range p.Globals {
 		copy(m.Mem[g.Addr:g.Addr+g.Size], g.Init)
 	}
+	for _, f := range p.Funcs {
+		var tab []int
+		for _, b := range f.Blocks {
+			for _, op := range b.Ops {
+				if op.Code != ir.Lea {
+					continue
+				}
+				if g := p.Global(op.Sym); g != nil {
+					if op.ID >= len(tab) {
+						tab = append(tab, make([]int, op.ID+1-len(tab))...)
+					}
+					tab[op.ID] = g.Addr
+				}
+			}
+		}
+		if tab != nil {
+			m.lea[f] = tab
+		}
+	}
 	return m
+}
+
+// globalAddr returns the address of the global a Lea names: from the
+// table New built, or by name for an op the table does not know.
+func (m *Machine) globalAddr(f *ir.Func, op *ir.Op) (int, bool) {
+	if f != m.leaF {
+		m.leaF, m.leaT = f, m.lea[f]
+	}
+	if op.ID < len(m.leaT) {
+		if a := m.leaT[op.ID]; a != 0 {
+			return a, true
+		}
+	}
+	g := m.Prog.Global(op.Sym)
+	if g == nil {
+		return 0, false
+	}
+	return g.Addr, true
 }
 
 // Reset restores the machine to its initial state — the program's linked
@@ -280,11 +325,11 @@ func (m *Machine) execOpAt(f *ir.Func, op *ir.Op, regs []uint64, depth int) erro
 			regs[op.Dest] = regs[op.C]
 		}
 	case ir.Lea:
-		g := m.Prog.Global(op.Sym)
-		if g == nil {
+		addr, ok := m.globalAddr(f, op)
+		if !ok {
 			return fmt.Errorf("lea of unknown global %q", op.Sym)
 		}
-		setI(int64(g.Addr) + op.Imm)
+		setI(int64(addr) + op.Imm)
 	case ir.Load, ir.CheckLd:
 		addr := ia() + op.Imm
 		if addr < 1 || addr >= int64(len(m.Mem)) {

@@ -248,6 +248,54 @@ func TestCheckLdBehavesAsLoadSequentially(t *testing.T) {
 	}
 }
 
+// TestLeaResolution pins Lea addressing through the table New builds: ops
+// with equal IDs in different functions resolve to their own globals as
+// execution alternates between the functions, an op added after New
+// resolves by name, and an unknown global is an error.
+func TestLeaResolution(t *testing.T) {
+	prog := ir.NewProgram()
+	_ = prog.AddGlobal(&ir.Global{Name: "a", Size: 4})
+	_ = prog.AddGlobal(&ir.Global{Name: "b", Size: 4})
+	lea := func(f *ir.Func, sym string, imm int64) *ir.Op {
+		op := f.NewOp(ir.Lea)
+		op.Dest, op.Sym, op.Imm = 0, sym, imm
+		return op
+	}
+	f, g := ir.NewFunc("f"), ir.NewFunc("g")
+	f.NewReg()
+	g.NewReg()
+	fa, gb := lea(f, "a", 1), lea(g, "b", 2)
+	f.Blocks[0].Ops = []*ir.Op{fa}
+	g.Blocks[0].Ops = []*ir.Op{gb}
+	_ = prog.AddFunc(f)
+	_ = prog.AddFunc(g)
+	prog.Link()
+	m := interp.New(prog)
+	late := lea(f, "b", 0)
+	for i := 0; i < 2; i++ {
+		for _, c := range []struct {
+			f    *ir.Func
+			op   *ir.Op
+			want int
+		}{
+			{f, fa, prog.Global("a").Addr + 1},
+			{g, gb, prog.Global("b").Addr + 2},
+			{f, late, prog.Global("b").Addr},
+		} {
+			regs := make([]uint64, 1)
+			if err := m.ExecOp(c.f, c.op, regs); err != nil {
+				t.Fatal(err)
+			}
+			if int(regs[0]) != c.want {
+				t.Errorf("%s %v = %d, want %d", c.f.Name, c.op, regs[0], c.want)
+			}
+		}
+	}
+	if err := m.ExecOp(f, lea(f, "nope", 0), make([]uint64, 1)); err == nil || !strings.Contains(err.Error(), "unknown global") {
+		t.Errorf("lea of an unknown global: err = %v", err)
+	}
+}
+
 func TestRunUnknownFunction(t *testing.T) {
 	prog := compile(t, `func main() { return 1 }`)
 	m := interp.New(prog)

@@ -86,9 +86,9 @@ func (c IfConvert) Run(_ *Ctx, p *ir.Program) error {
 }
 
 // Regions forms profile-guided superblocks. Region formation duplicates
-// code (fresh op IDs), so it collects its own edge profile; the value
-// profile downstream passes consume must be collected afterwards (the
-// Profile pass).
+// code (fresh op IDs), so it collects its own block and edge profile,
+// metering no value predictor; the value profile downstream passes consume
+// must be collected afterwards (the Profile pass).
 type Regions struct{ Cfg regions.Config }
 
 // Name implements Pass.
@@ -105,7 +105,7 @@ func (c Regions) Fingerprint() string { return fmt.Sprintf("%+v", c.Cfg) }
 
 // Run implements Pass.
 func (c Regions) Run(_ *Ctx, p *ir.Program) error {
-	prof, err := profile.Collect(p, "main")
+	prof, err := profile.CollectMeters(p, profile.NoMeters, "main")
 	if err != nil {
 		return err
 	}
@@ -115,7 +115,13 @@ func (c Regions) Run(_ *Ctx, p *ir.Program) error {
 
 // Profile collects the value/frequency profile of the current program and
 // publishes it as ctx.Prof.
-type Profile struct{}
+type Profile struct {
+	// Meters is the set of predictor families the value profile scores;
+	// the zero value meters the whole zoo. Set it to
+	// profile.MetersFor(predictor) to meter only what the speculation
+	// pass's predictor config can read.
+	Meters profile.Meters
+}
 
 // Name implements Pass.
 func (Profile) Name() string { return "profile" }
@@ -126,9 +132,14 @@ func (Profile) Cacheable() bool { return true }
 // Mutates: profiling interprets the program read-only.
 func (Profile) Mutates() bool { return false }
 
+// Fingerprint keys the cache on the metered set, so profiles metering
+// different families are cached apart and profiles metering the same set
+// are shared, whatever predictor config asked for them.
+func (c Profile) Fingerprint() string { return c.Meters.String() }
+
 // Run implements Pass.
-func (Profile) Run(ctx *Ctx, p *ir.Program) error {
-	prof, err := profile.Collect(p, "main")
+func (c Profile) Run(ctx *Ctx, p *ir.Program) error {
+	prof, err := profile.CollectMeters(p, c.Meters, "main")
 	if err != nil {
 		return err
 	}

@@ -274,14 +274,14 @@ func TestVTAGETagAliasingBetweenSites(t *testing.T) {
 		a.Update(42)
 		a.Update(99)
 	}
-	wantIdx, wantTag := a.hash(1) // context [99], entry holds 42
+	wantIdx, wantTag := a.hash(0) // order-1 context [99], entry holds 42
 	if e := &tab.comps[0][wantIdx]; e.ctr == 0 || e.tag != wantTag || e.value != 42 {
 		t.Fatalf("site 0 order-1 entry not trained: %+v", e)
 	}
 	for id := 1; id < 1<<20; id++ {
 		b := tab.Site(id)
 		b.Update(7) // one observation: base state only, no allocation yet
-		if idx, tag := b.hash(1); idx == wantIdx && tag == wantTag {
+		if idx, tag := b.hash(0); idx == wantIdx && tag == wantTag {
 			v, ok := b.Predict()
 			if !ok || v != 42 {
 				t.Fatalf("aliased site %d predicted (%d, %v), want site 0's (42, true)", id, v, ok)
@@ -290,6 +290,56 @@ func TestVTAGETagAliasingBetweenSites(t *testing.T) {
 		}
 	}
 	t.Fatal("no aliasing site ID found in 2^20 candidates (hash changed?)")
+}
+
+// refVTAGEHash is the component hash written out directly: FNV-1a over the
+// site ID, then the newest histLen values, newest first, mixed afresh.
+func refVTAGEHash(s *VTAGESite, histLen int) (uint64, uint16) {
+	var h uint64 = 14695981039346656037
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= (v >> (8 * i)) & 0xff
+			h *= 1099511628211
+		}
+	}
+	mix(uint64(s.id))
+	for i := 0; i < histLen; i++ {
+		mix(s.hist[((s.head-1-i)%vtageMaxHist+vtageMaxHist)%vtageMaxHist])
+	}
+	return h & s.t.mask, uint16(h>>32) & vtageTagMask
+}
+
+// TestVTAGEHashMatchesDirectFold pins the one-pass, memoized component
+// hashes bit-identical to a direct fold of each history, through ring
+// wraps, interleaved Predict/Update calls and mid-stream Resets — the
+// table contents, and so every VTAGE result, depend on it.
+func TestVTAGEHashMatchesDirectFold(t *testing.T) {
+	tab := NewVTAGE(6)
+	sites := []*VTAGESite{tab.Site(0), tab.Site(3), tab.Site(1 << 20)}
+	x := uint64(12345)
+	for step := 0; step < 400; step++ {
+		s := sites[step%len(sites)]
+		x = x*6364136223846793005 + 1442695040888963407
+		v := x >> 61 // few distinct values, so components train and hit
+		if step%97 == 0 {
+			s.Reset()
+		}
+		if step%3 == 0 {
+			s.Predict()
+		}
+		for ci, hl := range vtageHistLens {
+			if s.n < hl {
+				continue
+			}
+			idx, tag := s.hash(ci)
+			wantIdx, wantTag := refVTAGEHash(s, hl)
+			if idx != wantIdx || tag != wantTag {
+				t.Fatalf("step %d site %d component %d: hash (%d, %d), want (%d, %d)",
+					step, s.id, ci, idx, tag, wantIdx, wantTag)
+			}
+		}
+		s.Update(v)
+	}
 }
 
 // TestVTAGESiteResetKeepsSharedTable pins the lifecycle contract the
@@ -303,7 +353,7 @@ func TestVTAGESiteResetKeepsSharedTable(t *testing.T) {
 		a.Update(33) // alternate so the shared table actually trains
 		b.Update(22)
 	}
-	aIdx, aTag := a.hash(1)
+	aIdx, aTag := a.hash(0)
 	before := tab.comps[0][aIdx]
 	if before.ctr == 0 || before.tag != aTag {
 		t.Fatalf("site 1 order-1 entry not trained: %+v", before)

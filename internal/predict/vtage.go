@@ -87,27 +87,46 @@ type VTAGESite struct {
 	head int
 	last uint64
 	seen bool
+	// hashes[ci] is component ci's hash of the current history, valid
+	// while hashed is set; Update and Reset, which change the history,
+	// clear it.
+	hashes [len(vtageHistLens)]uint64
+	hashed bool
 }
 
 // histAt returns the i-th most recent value, i in [0, vtageMaxHist).
 func (s *VTAGESite) histAt(i int) uint64 {
-	return s.hist[((s.head-1-i)%vtageMaxHist+vtageMaxHist)%vtageMaxHist]
+	return s.hist[(s.head-1-i)&(vtageMaxHist-1)]
 }
 
-// hash folds the site ID and the last histLen values FNV-1a style and
-// splits the result into a component-table index and an 8-bit tag.
-func (s *VTAGESite) hash(histLen int) (idx uint64, tag uint16) {
-	var h uint64 = 14695981039346656037
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
+// fnvMix folds the 8 bytes of v into an FNV-1a hash.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= (v >> (8 * i)) & 0xff
+		h *= 1099511628211
+	}
+	return h
+}
+
+// hash returns component ci's table index and 8-bit tag: FNV-1a over the
+// site ID and the newest vtageHistLens[ci] values. Each shorter history is
+// a prefix of the longer ones, so one pass over the history yields every
+// component's hash; it runs once per history and is reused until the
+// history changes.
+func (s *VTAGESite) hash(ci int) (idx uint64, tag uint16) {
+	if !s.hashed {
+		h := fnvMix(14695981039346656037, uint64(s.id))
+		next := 0
+		for i := 0; i < s.n && next < len(vtageHistLens); i++ {
+			h = fnvMix(h, s.histAt(i))
+			if i+1 == vtageHistLens[next] {
+				s.hashes[next] = h
+				next++
+			}
 		}
+		s.hashed = true
 	}
-	mix(uint64(s.id))
-	for i := 0; i < histLen; i++ {
-		mix(s.histAt(i))
-	}
+	h := s.hashes[ci]
 	return h & s.t.mask, uint16(h>>32) & vtageTagMask
 }
 
@@ -118,7 +137,7 @@ func (s *VTAGESite) provider() (comp int, idx uint64) {
 		if s.n < vtageHistLens[ci] {
 			continue
 		}
-		i, tag := s.hash(vtageHistLens[ci])
+		i, tag := s.hash(ci)
 		e := &s.t.comps[ci][i]
 		if e.ctr > 0 && e.tag == tag {
 			return ci, i
@@ -171,7 +190,7 @@ func (s *VTAGESite) Update(actual uint64) {
 			if s.n < vtageHistLens[ai] {
 				break
 			}
-			i, tag := s.hash(vtageHistLens[ai])
+			i, tag := s.hash(ai)
 			e := &s.t.comps[ai][i]
 			if e.ctr == 0 || e.u == 0 {
 				*e = vtageEntry{tag: tag, value: actual, ctr: 1}
@@ -181,7 +200,8 @@ func (s *VTAGESite) Update(actual uint64) {
 		}
 	}
 	s.hist[s.head] = actual
-	s.head = (s.head + 1) % vtageMaxHist
+	s.head = (s.head + 1) & (vtageMaxHist - 1)
+	s.hashed = false
 	if s.n < vtageMaxHist {
 		s.n++
 	}
@@ -196,4 +216,5 @@ func (s *VTAGESite) Name() string { return "vtage" }
 func (s *VTAGESite) Reset() {
 	s.n, s.head = 0, 0
 	s.last, s.seen = 0, false
+	s.hashed = false
 }

@@ -2,8 +2,10 @@
 //
 //  1. Value profiling of loads: each static load's dynamic value stream is
 //     scored online against a stride predictor and an FCM predictor; its
-//     predictability is the higher of the two rates. Block execution
-//     frequencies are collected in the same run.
+//     predictability is the higher of the two rates. The run meters only
+//     the families its Meters set names — the paper's pair, one forced
+//     family beside stride, or the whole predictor zoo. Block execution
+//     and edge frequencies are collected in the same run.
 //  2. Outcome profiling: after the speculation pass has selected loads, a
 //     second run replays the program and records, for every dynamic block
 //     instance, exactly which selected predictions hit — tallied as a
@@ -100,10 +102,87 @@ func SchemeByName(name string) (Scheme, bool) {
 // when the new schemes don't strictly win), then the PR-8 additions.
 var zooOrder = [...]Scheme{SchemeStride, SchemeFCM, SchemeHybrid, SchemeLast, SchemeLNV, SchemeVTAGE}
 
-// LoadProfile is the value profile of one static load site. Collect
-// always meters every scheme of the zoo, so cached profiles are
-// predictor-config-independent; Rate and Best deliberately keep the
-// paper's stride/FCM semantics.
+// Meters is the set of predictor families a value-profiling run scores,
+// one bit (1<<Scheme) per family. The zero value stands for the whole zoo,
+// so the zero pipeline profile pass and hand-built profiles keep meaning
+// "every rate is filled in".
+type Meters uint8
+
+const (
+	// ZooMeters is the whole zoo, written out.
+	ZooMeters Meters = 1<<SchemeStride | 1<<SchemeFCM | 1<<SchemeLast |
+		1<<SchemeLNV | 1<<SchemeVTAGE | 1<<SchemeHybrid
+	// NoMeters meters no family: a frequency-only profile. It holds no
+	// family bit but is not the zero value (which means the whole zoo).
+	NoMeters Meters = 1 << 7
+)
+
+// MetersOf returns the set of the given schemes.
+func MetersOf(schemes ...Scheme) Meters {
+	var m Meters
+	for _, s := range schemes {
+		m |= 1 << s
+	}
+	return m
+}
+
+// MetersFor is the set of families a predictor config can read from a
+// profile: stride and FCM for "profiled" (the paper's max of the two), the
+// whole zoo for "auto", and stride plus the forced family otherwise.
+// Profiling always meters stride, so the metered set of any config
+// contains the paper's baseline family.
+func MetersFor(cfg *predict.Config) Meters {
+	switch name := cfg.SchemeName(); name {
+	case "profiled":
+		return MetersOf(SchemeStride, SchemeFCM)
+	case "auto":
+		return ZooMeters
+	default:
+		s, _ := SchemeByName(name)
+		return MetersOf(SchemeStride, s)
+	}
+}
+
+func (m Meters) full() Meters {
+	if m == 0 {
+		return ZooMeters
+	}
+	return m
+}
+
+// Has reports whether the set meters scheme s.
+func (m Meters) Has(s Scheme) bool { return m.full()&(1<<s) != 0 }
+
+// Covers reports whether every family of o is in m.
+func (m Meters) Covers(o Meters) bool {
+	need := o.full() &^ NoMeters
+	return m.full()&need == need
+}
+
+// String renders the set canonically: "zoo" for the whole zoo, "none" for
+// no family, otherwise the family names in zoo order joined by "+" (e.g.
+// "stride+fcm"). Profile pass fingerprints embed it.
+func (m Meters) String() string {
+	if m.full() == ZooMeters {
+		return "zoo"
+	}
+	out := "none"
+	for _, s := range zooOrder {
+		switch {
+		case !m.Has(s):
+		case out == "none":
+			out = s.String()
+		default:
+			out += "+" + s.String()
+		}
+	}
+	return out
+}
+
+// LoadProfile is the value profile of one static load site. Only the rates
+// of the families its profile metered (Profile.Meters) are filled in; the
+// others stay 0. Rate and Best deliberately keep the paper's stride/FCM
+// semantics.
 type LoadProfile struct {
 	Key        LoadKey
 	Count      int64
@@ -131,27 +210,30 @@ func (lp *LoadProfile) Best() Scheme {
 	return SchemeStride
 }
 
-// RateOf returns the profiled rate of one scheme.
-func (lp *LoadProfile) RateOf(s Scheme) float64 {
+// rate addresses the profiled rate of one scheme.
+func (lp *LoadProfile) rate(s Scheme) *float64 {
 	switch s {
 	case SchemeFCM:
-		return lp.FCMRate
+		return &lp.FCMRate
 	case SchemeLast:
-		return lp.LastRate
+		return &lp.LastRate
 	case SchemeLNV:
-		return lp.LNVRate
+		return &lp.LNVRate
 	case SchemeVTAGE:
-		return lp.VTAGERate
+		return &lp.VTAGERate
 	case SchemeHybrid:
-		return lp.HybridRate
+		return &lp.HybridRate
 	default:
-		return lp.StrideRate
+		return &lp.StrideRate
 	}
 }
 
+// RateOf returns the profiled rate of one scheme.
+func (lp *LoadProfile) RateOf(s Scheme) float64 { return *lp.rate(s) }
+
 // ZooBest is the zoo-wide argmax: the scheme with the highest profiled
-// rate across all five families, ties broken toward the earlier scheme in
-// the fixed zoo order (stride, fcm, last, lnv, vtage).
+// rate across all six families, ties broken toward the earlier scheme in
+// the fixed zoo order (stride, fcm, hybrid, last, lnv, vtage).
 func (lp *LoadProfile) ZooBest() (Scheme, float64) {
 	best, rate := zooOrder[0], lp.RateOf(zooOrder[0])
 	for _, s := range zooOrder[1:] {
@@ -171,6 +253,10 @@ type Profile struct {
 	EdgeFreq map[EdgeKey]int64
 	// DynOps is the total dynamic operation count of the run.
 	DynOps int64
+	// Meters is the set of families whose rates Loads carries. Consumers
+	// that read a rate check it first (speculate.Transform refuses a
+	// config that reads an unmetered family).
+	Meters Meters
 }
 
 // Load returns the profile of a site (nil if never executed).
@@ -187,6 +273,7 @@ func (p *Profile) Clone() *Profile {
 		BlockFreq: make(map[BlockKey]int64, len(p.BlockFreq)),
 		EdgeFreq:  make(map[EdgeKey]int64, len(p.EdgeFreq)),
 		DynOps:    p.DynOps,
+		Meters:    p.Meters,
 	}
 	for k, lp := range p.Loads {
 		dup := *lp
@@ -211,86 +298,194 @@ func (p *Profile) Edge(fn string, from, to int) int64 {
 	return p.EdgeFreq[EdgeKey{Func: fn, From: from, To: to}]
 }
 
-type siteMeters struct {
-	stride predict.RateMeter
-	fcm    predict.RateMeter
-	last   predict.RateMeter
-	lnv    predict.RateMeter
-	vtage  predict.RateMeter
-	hybrid predict.RateMeter
+// Collect runs the program once and gathers the frequency profile and a
+// value profile metering the whole predictor zoo.
+func Collect(prog *ir.Program, entry string, args ...uint64) (*Profile, error) {
+	return CollectMeters(prog, ZooMeters, entry, args...)
 }
 
-// Collect runs the program once and gathers value and frequency profiles.
-func Collect(prog *ir.Program, entry string, args ...uint64) (*Profile, error) {
-	m := interp.New(prog)
-	sites := map[LoadKey]*siteMeters{}
+// CollectMeters is Collect metering only the families in m (the zero set
+// meters the whole zoo; NoMeters meters nothing and leaves Loads empty).
+// Each load site runs one predictor per metered family; the profiling
+// VTAGE is a private per-site table, so the profile measures each site's
+// intrinsic predictability, not cross-site interference.
+//
+// The run counts into dense per-function slices indexed by block ID,
+// successor slot and op ID, built before it starts, and converts them to
+// the keyed Profile at the end.
+func CollectMeters(prog *ir.Program, m Meters, entry string, args ...uint64) (*Profile, error) {
+	var schemes []Scheme
+	for _, s := range zooOrder {
+		if m.Has(s) {
+			schemes = append(schemes, s)
+		}
+	}
+	im := interp.New(prog)
+	c := newCollector(prog, schemes)
+	im.Hooks.OnBlock = c.onBlock
+	if len(schemes) > 0 {
+		im.Hooks.OnLoad = c.onLoad
+	}
+	if _, err := im.Run(entry, args...); err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
+	}
 	prof := &Profile{
 		Loads:     map[LoadKey]*LoadProfile{},
 		BlockFreq: map[BlockKey]int64{},
 		EdgeFreq:  map[EdgeKey]int64{},
+		DynOps:    im.Steps,
+		Meters:    m.full(),
 	}
-	// prevBlock tracks the last block seen per call depth, to attribute
-	// edges; a new block at depth d with the same function as the previous
-	// block at depth d traversed the edge between them.
-	prevBlock := map[int]BlockKey{}
-	m.Hooks.OnBlock = func(f *ir.Func, b *ir.Block, depth int) {
-		bk := BlockKey{Func: f.Name, Block: b.ID}
-		prof.BlockFreq[bk]++
-		if prev, ok := prevBlock[depth]; ok && prev.Func == f.Name {
-			// Guard against false edges between consecutive invocations of
-			// the same function at one depth: the edge must exist in the CFG.
-			for _, s := range f.Blocks[prev.Block].Succs {
-				if s == b.ID {
-					prof.EdgeFreq[EdgeKey{Func: f.Name, From: prev.Block, To: b.ID}]++
-					break
+	c.publish(prog, prof)
+	return prof, nil
+}
+
+// funcCounts holds one function's counters, indexed densely by block ID,
+// successor slot and op ID.
+type funcCounts struct {
+	f      *ir.Func
+	blocks []int64
+	edges  [][]int64     // edges[b][i] counts traversals of f.Blocks[b].Succs[i]
+	sites  []*siteMeters // by op ID; nil until the load first executes
+}
+
+// siteMeters is one load site's counters: its execution count and one
+// rate meter per metered family, in the collector's scheme order.
+type siteMeters struct {
+	count  int64
+	meters []predict.RateMeter
+}
+
+// blockRef names the block last entered at one call depth.
+type blockRef struct {
+	fc    *funcCounts
+	block int
+}
+
+// collector gathers one profiling run's counters.
+type collector struct {
+	schemes []Scheme
+	byFunc  map[*ir.Func]*funcCounts
+	cur     *funcCounts // the most recently looked-up function
+	// prev tracks the last block seen per call depth, to attribute edges:
+	// a new block at depth d in the same function as the previous block at
+	// depth d traversed the edge between them.
+	prev []blockRef
+}
+
+func newCollector(prog *ir.Program, schemes []Scheme) *collector {
+	c := &collector{schemes: schemes, byFunc: make(map[*ir.Func]*funcCounts, len(prog.Funcs))}
+	for _, f := range prog.Funcs {
+		fc := &funcCounts{f: f, blocks: make([]int64, len(f.Blocks)), edges: make([][]int64, len(f.Blocks))}
+		nsucc, nops := 0, f.NextOpID()
+		for _, b := range f.Blocks {
+			nsucc += len(b.Succs)
+			for _, op := range b.Ops {
+				if op.ID >= nops {
+					nops = op.ID + 1
 				}
 			}
 		}
-		prevBlock[depth] = bk
+		flat := make([]int64, nsucc)
+		for i, b := range f.Blocks {
+			fc.edges[i], flat = flat[:len(b.Succs):len(b.Succs)], flat[len(b.Succs):]
+		}
+		if len(schemes) > 0 {
+			fc.sites = make([]*siteMeters, nops)
+		}
+		c.byFunc[f] = fc
 	}
-	m.Hooks.OnLoad = func(f *ir.Func, op *ir.Op, addr int, value uint64, depth int) {
-		k := LoadKey{Func: f.Name, OpID: op.ID}
-		s := sites[k]
-		if s == nil {
-			// Profiling meters every scheme of the zoo, whatever predictor
-			// the simulation will run with: cached profiles must be
-			// predictor-config-independent. The profiling VTAGE is a
-			// private per-site table — the profile measures each site's
-			// intrinsic predictability, not cross-site interference.
-			s = &siteMeters{
-				stride: predict.RateMeter{P: predict.NewStride()},
-				fcm:    predict.RateMeter{P: predict.NewFCM(predict.DefaultFCMOrder, predict.DefaultFCMTableBits)},
-				last:   predict.RateMeter{P: predict.NewLastValue()},
-				lnv:    predict.RateMeter{P: predict.NewLastN(predict.DefaultLNVDepth)},
-				vtage:  predict.RateMeter{P: predict.NewVTAGE(predict.DefaultVTAGEBits).Site(0)},
-				hybrid: predict.RateMeter{P: predict.NewHybrid(predict.DefaultFCMOrder, predict.DefaultFCMTableBits)},
+	return c
+}
+
+func (c *collector) funcOf(f *ir.Func) *funcCounts {
+	if c.cur == nil || c.cur.f != f {
+		c.cur = c.byFunc[f]
+	}
+	return c.cur
+}
+
+func (c *collector) onBlock(f *ir.Func, b *ir.Block, depth int) {
+	fc := c.funcOf(f)
+	fc.blocks[b.ID]++
+	for len(c.prev) <= depth {
+		c.prev = append(c.prev, blockRef{})
+	}
+	if prev := c.prev[depth]; prev.fc == fc {
+		// Guard against false edges between consecutive invocations of
+		// the same function at one depth: the edge must exist in the CFG.
+		for i, s := range f.Blocks[prev.block].Succs {
+			if s == b.ID {
+				fc.edges[prev.block][i]++
+				break
 			}
-			sites[k] = s
-		}
-		s.stride.Observe(value)
-		s.fcm.Observe(value)
-		s.last.Observe(value)
-		s.lnv.Observe(value)
-		s.vtage.Observe(value)
-		s.hybrid.Observe(value)
-	}
-	if _, err := m.Run(entry, args...); err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
-	}
-	for k, s := range sites {
-		prof.Loads[k] = &LoadProfile{
-			Key:        k,
-			Count:      int64(s.stride.Total),
-			StrideRate: s.stride.Rate(),
-			FCMRate:    s.fcm.Rate(),
-			LastRate:   s.last.Rate(),
-			LNVRate:    s.lnv.Rate(),
-			VTAGERate:  s.vtage.Rate(),
-			HybridRate: s.hybrid.Rate(),
 		}
 	}
-	prof.DynOps = m.Steps
-	return prof, nil
+	c.prev[depth] = blockRef{fc: fc, block: b.ID}
+}
+
+func (c *collector) onLoad(f *ir.Func, op *ir.Op, _ int, value uint64, _ int) {
+	fc := c.funcOf(f)
+	s := fc.sites[op.ID]
+	if s == nil {
+		s = &siteMeters{meters: make([]predict.RateMeter, len(c.schemes))}
+		for i, sch := range c.schemes {
+			s.meters[i].P = newPredictor(sch)
+		}
+		fc.sites[op.ID] = s
+	}
+	s.count++
+	for i := range s.meters {
+		s.meters[i].Observe(value)
+	}
+}
+
+// newPredictor returns a cold predictor of one family at the package
+// default sizes; a VTAGE gets a private table.
+func newPredictor(s Scheme) predict.Predictor {
+	switch s {
+	case SchemeFCM:
+		return predict.NewFCM(predict.DefaultFCMOrder, predict.DefaultFCMTableBits)
+	case SchemeLast:
+		return predict.NewLastValue()
+	case SchemeLNV:
+		return predict.NewLastN(predict.DefaultLNVDepth)
+	case SchemeVTAGE:
+		return predict.NewVTAGE(predict.DefaultVTAGEBits).Site(0)
+	case SchemeHybrid:
+		return predict.NewHybrid(predict.DefaultFCMOrder, predict.DefaultFCMTableBits)
+	default:
+		return predict.NewStride()
+	}
+}
+
+// publish converts the dense counters into the keyed Profile.
+func (c *collector) publish(prog *ir.Program, prof *Profile) {
+	for _, f := range prog.Funcs {
+		fc := c.byFunc[f]
+		for id, n := range fc.blocks {
+			if n == 0 {
+				continue
+			}
+			prof.BlockFreq[BlockKey{Func: f.Name, Block: id}] = n
+			for i, e := range fc.edges[id] {
+				if e != 0 {
+					prof.EdgeFreq[EdgeKey{Func: f.Name, From: id, To: f.Blocks[id].Succs[i]}] = e
+				}
+			}
+		}
+		for id, s := range fc.sites {
+			if s == nil {
+				continue
+			}
+			k := LoadKey{Func: f.Name, OpID: id}
+			lp := &LoadProfile{Key: k, Count: s.count}
+			for i, sch := range c.schemes {
+				*lp.rate(sch) = s.meters[i].Rate()
+			}
+			prof.Loads[k] = lp
+		}
+	}
 }
 
 // Selection maps each block to the ordered list of load sites chosen for
@@ -404,22 +599,13 @@ func StreamOutcomes(prog *ir.Program, sel *Selection, entry string, hooks Outcom
 		}
 		p := preds[k]
 		if p == nil {
-			switch scheme {
-			case SchemeFCM:
-				p = predict.NewFCM(predict.DefaultFCMOrder, predict.DefaultFCMTableBits)
-			case SchemeLast:
-				p = predict.NewLastValue()
-			case SchemeLNV:
-				p = predict.NewLastN(predict.DefaultLNVDepth)
-			case SchemeHybrid:
-				p = predict.NewHybrid(predict.DefaultFCMOrder, predict.DefaultFCMTableBits)
-			case SchemeVTAGE:
+			if scheme == SchemeVTAGE {
 				if vtage == nil {
 					vtage = predict.NewVTAGE(predict.DefaultVTAGEBits)
 				}
 				p = vtage.Site(len(preds))
-			default:
-				p = predict.NewStride()
+			} else {
+				p = newPredictor(scheme)
 			}
 			preds[k] = p
 		}

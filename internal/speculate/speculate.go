@@ -88,6 +88,22 @@ func siteRate(lp *profile.LoadProfile, cfg *Config) (float64, profile.Scheme) {
 	}
 }
 
+// UnmeteredError reports a predictor config that reads the rate of a
+// family the value profile did not meter. Selecting on an unmetered rate
+// would read its zero and silently select no site, so Transform refuses;
+// seeing this error means a profile was collected (or cached) for a
+// different predictor config than the one it is used with.
+type UnmeteredError struct {
+	Predictor string         // the config's canonical key
+	Need      profile.Meters // the families the config reads
+	Have      profile.Meters // the families the profile metered
+}
+
+func (e *UnmeteredError) Error() string {
+	return fmt.Sprintf("speculate: predictor %q reads %s rates, but the profile meters only %s",
+		e.Predictor, e.Need, e.Have)
+}
+
 // DefaultConfig returns the paper's experimental settings on the given
 // machine.
 func DefaultConfig(d *machine.Desc) Config {
@@ -146,6 +162,9 @@ func Transform(prog *ir.Program, prof *profile.Profile, cfg Config) (*Result, er
 	}
 	if err := cfg.Predictor.Validate(); err != nil {
 		return nil, fmt.Errorf("speculate: %w", err)
+	}
+	if need := profile.MetersFor(cfg.Predictor); !prof.Meters.Covers(need) {
+		return nil, &UnmeteredError{Predictor: cfg.Predictor.Key(), Need: need, Have: prof.Meters}
 	}
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 0.65
