@@ -32,7 +32,8 @@ import (
 //   - a frame is recycled only when it is dead (popped or reset) AND no
 //     in-flight wheel event still references it (pin count zero) — late
 //     write-backs to a dead frame must still arbitrate and trace exactly
-//     as the legacy engine's closures did;
+//     as the legacy engine's closures did. An untraced plain write-back
+//     is not an event (writePlain), so it pins nothing;
 //   - a block instance is recycled only when no frame runs it, no CCB
 //     entry of it is live, and no check-resolve event references it;
 //   - acquisition clears registers, scoreboard, sequence numbers, site
@@ -182,6 +183,7 @@ type Simulator struct {
 	pf            *prefetcher // stride-stream prefetcher, nil when disabled
 	stallUntil    int64       // serial-mode recovery stall horizon
 	redirectUntil int64       // branch redirect/flush stall horizon
+	drainAt       int64       // latest landing cycle of a write kept off the wheel
 	seq           int64
 	mem           *interp.Machine // reused for operation semantics + memory
 	syncBusy      uint64
@@ -396,7 +398,7 @@ func (s *Simulator) reset() {
 	s.MaxCCBOccupancy = 0
 	s.ccbOcc = [ccbOccBuckets]int64{}
 	s.Output = nil
-	s.stallUntil, s.redirectUntil, s.seq, s.cycle = 0, 0, 0, 0
+	s.stallUntil, s.redirectUntil, s.drainAt, s.seq, s.cycle = 0, 0, 0, 0, 0
 	s.callDepth = 0
 	s.syncBusy = 0
 	s.simErr = nil
@@ -629,7 +631,9 @@ func (s *Simulator) Run(entry string, args ...uint64) (uint64, error) {
 		}
 		// 1. Apply this cycle's events (bit clears, register write-backs,
 		// check resolutions).
-		s.wheel.run(s.cycle, s.execEvent)
+		if s.wheel.len() > 0 {
+			s.wheel.run(s.cycle, s.execEvent)
+		}
 		if s.simErr != nil {
 			return 0, s.simErr
 		}
@@ -640,8 +644,11 @@ func (s *Simulator) Run(entry string, args ...uint64) (uint64, error) {
 			return 0, err
 		}
 
-		// 3. Compensation Code Engine: dispatch at most one entry.
-		s.stepCCE()
+		// 3. Compensation Code Engine: dispatch at most one entry. The
+		// serial machine drains inline, so it runs even on an empty CCB.
+		if s.ccbHead < len(s.ccb) || s.SerialRecovery {
+			s.stepCCE()
+		}
 		if s.simErr != nil {
 			return 0, s.simErr
 		}
@@ -651,6 +658,10 @@ func (s *Simulator) Run(entry string, args ...uint64) (uint64, error) {
 			for s.wheel.len() > 0 {
 				s.cycle++
 				s.wheel.run(s.cycle, s.execEvent)
+			}
+			// Plain write-backs kept off the wheel land by drainAt.
+			if s.cycle < s.drainAt {
+				s.cycle = s.drainAt
 			}
 			s.Cycles = s.cycle + 1
 			s.Output = s.mem.Output
@@ -979,47 +990,41 @@ func (s *Simulator) stepVLIW() (bool, error) {
 	}
 	// Scoreboard stall: every source (and destination) register must have
 	// its pending write landed.
-	for _, idx := range in.ops {
-		o := &blk.ops[idx]
-		for _, u := range o.uses {
-			if fr.readyAt[u] > s.cycle {
-				s.StallScore++
-				if s.tracing() {
-					s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
-						Kind: obs.KindStallScore, Op: o.op, Bit: -1, Reg: u})
-				}
-				return false, nil
-			}
-		}
-		if d := o.def; d != ir.NoReg && fr.readyAt[d] > s.cycle {
+	for _, sr := range in.score {
+		if fr.readyAt[sr.reg] > s.cycle {
 			s.StallScore++
 			if s.tracing() {
 				s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
-					Kind: obs.KindStallScore, Op: o.op, Bit: -1, Reg: d})
+					Kind: obs.KindStallScore, Op: blk.ops[sr.op].op, Bit: -1, Reg: sr.reg})
 			}
 			return false, nil
 		}
 	}
 	// Structural stalls: Synchronization bit reuse, barriers, CCB space.
-	for _, idx := range in.ops {
-		o := &blk.ops[idx]
-		if o.bitMask != 0 && o.op.Code != ir.CheckLd && s.syncBusy&o.bitMask != 0 {
-			s.StallSync++
-			if s.tracing() {
-				s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
-					Kind: obs.KindStallSync, Op: o.op, Bit: o.op.SyncBit,
-					Wait: o.bitMask, Busy: s.syncBusy})
-			}
-			return false, nil
-		}
-		if o.op.Code == ir.Call || o.op.Code == ir.Ret {
-			if s.syncBusy != 0 || s.ccbHead < len(s.ccb) {
-				s.StallBar++
+	// The per-op scan (which names the stalling op) runs only when the
+	// instruction's bits meet a busy bit or its barrier meets live
+	// speculation.
+	if in.bits&s.syncBusy != 0 || in.barrier && (s.syncBusy != 0 || s.ccbHead < len(s.ccb)) {
+		for _, idx := range in.ops {
+			o := &blk.ops[idx]
+			if o.bitMask != 0 && o.op.Code != ir.CheckLd && s.syncBusy&o.bitMask != 0 {
+				s.StallSync++
 				if s.tracing() {
 					s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
-						Kind: obs.KindStallBarrier, Op: o.op, Bit: -1, Busy: s.syncBusy})
+						Kind: obs.KindStallSync, Op: o.op, Bit: o.op.SyncBit,
+						Wait: o.bitMask, Busy: s.syncBusy})
 				}
 				return false, nil
+			}
+			if o.op.Code == ir.Call || o.op.Code == ir.Ret {
+				if s.syncBusy != 0 || s.ccbHead < len(s.ccb) {
+					s.StallBar++
+					if s.tracing() {
+						s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+							Kind: obs.KindStallBarrier, Op: o.op, Bit: -1, Busy: s.syncBusy})
+					}
+					return false, nil
+				}
 			}
 		}
 	}
@@ -1129,9 +1134,7 @@ func (s *Simulator) issueDataOp(fr *frame, blk *imgBlock, o *imgOp) error {
 		if err != nil {
 			return fmt.Errorf("core: %s b%d %s: %w", fr.fn.f.Name, fr.blockID, op, err)
 		}
-		if d := o.def; d != ir.NoReg {
-			s.writeReg(fr, d, v, lat)
-		}
+		s.writePlain(fr, o.def, v, lat)
 		return nil
 	}
 }
@@ -1157,7 +1160,7 @@ func (s *Simulator) issueSpecOp(fr *frame, blk *imgBlock, o *imgOp) error {
 			s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 				Kind: obs.KindPlainIssue, Op: op, Bit: -1})
 		}
-		s.writeReg(fr, op.Dest, v, lat)
+		s.writePlain(fr, op.Dest, v, lat)
 		return nil
 	}
 
@@ -1709,6 +1712,25 @@ func (s *Simulator) writeReg(fr *frame, r ir.Reg, v uint64, lat int64) {
 	seq := s.nextSeq(fr, r)
 	s.schedule(s.cycle+lat, wev{kind: wevWrite, fr: fr, reg: r, val: v, seq: seq})
 	fr.readyAt[r] = s.cycle + lat
+}
+
+// writePlain lands the result of an op issued plain (non-speculative, or
+// speculative with every prediction verified). execValue already stored v
+// in fr.regs, readers stall until readyAt, and the sequence claimed here
+// suppresses every older write to r, so the landing event could never
+// change a register: an untraced run only raises the drain horizon. A
+// traced run keeps the event, so its reg.write stream is unchanged.
+func (s *Simulator) writePlain(fr *frame, r ir.Reg, v uint64, lat int64) {
+	if r == ir.NoReg || s.tracing() {
+		s.writeReg(fr, r, v, lat)
+		return
+	}
+	s.nextSeq(fr, r)
+	at := s.cycle + lat
+	fr.readyAt[r] = at
+	if at > s.drainAt {
+		s.drainAt = at
+	}
 }
 
 func (s *Simulator) nextSeq(fr *frame, r ir.Reg) int64 {

@@ -16,6 +16,7 @@ package core_test
 import (
 	"flag"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -46,6 +47,34 @@ func runDecoded(cp *conform.CellPipeline, cell conform.Cell) (uint64, error, *co
 	return v, err, sim, sink
 }
 
+// diffUntraced reruns the cell on a fresh decoded simulator with no sink —
+// the path that keeps plain write-backs off the event wheel and skips
+// idle wheel and CCE steps — and describes the first difference from the
+// traced decoded run (tv, terr, tsim), or "".
+func diffUntraced(cp *conform.CellPipeline, cell conform.Cell, tv uint64, terr error, tsim *core.Simulator) string {
+	usim := cp.NewSim(cell)
+	uv, uerr := usim.Run("main")
+	if (uerr == nil) != (terr == nil) || (uerr != nil && uerr.Error() != terr.Error()) {
+		return fmt.Sprintf("%s: untraced err=%v, traced err=%v", cell.Name, uerr, terr)
+	}
+	if uv != tv {
+		return fmt.Sprintf("%s: untraced result %d != traced %d", cell.Name, uv, tv)
+	}
+	if usim.Cycles != tsim.Cycles {
+		return fmt.Sprintf("%s: untraced Cycles %d != traced %d", cell.Name, usim.Cycles, tsim.Cycles)
+	}
+	if um, tm := usim.Metrics(), tsim.Metrics(); !reflect.DeepEqual(um, tm) {
+		return fmt.Sprintf("%s: untraced metrics %v != traced %v", cell.Name, um, tm)
+	}
+	if msg := diffStrings(cell.Name, "untraced output", usim.Output, tsim.Output); msg != "" {
+		return msg
+	}
+	if msg := diffU64(cell.Name, "untraced final regs", usim.FinalRegs(), tsim.FinalRegs()); msg != "" {
+		return msg
+	}
+	return diffU64(cell.Name, "untraced memory", usim.Memory(), tsim.Memory())
+}
+
 // runLegacy executes the cell on the legacy stepper with the identical
 // knob assignment conform.CellPipeline.NewSim applies. rec, when non-nil,
 // is a decoded-engine load-latency trace to replay (the legacy engine has
@@ -68,10 +97,13 @@ func runLegacy(cp *conform.CellPipeline, cell conform.Cell, rec *core.MemTrace) 
 	return v, runErr, sim, sink, nil
 }
 
-// diffCell runs one compiled cell on both engines and returns a
-// description of the first divergence, or "".
+// diffCell runs one compiled cell on both engines, and untraced on the
+// decoded engine, and returns a description of the first divergence, or "".
 func diffCell(cp *conform.CellPipeline, cell conform.Cell) string {
 	dv, derr, dsim, dsink := runDecoded(cp, cell)
+	if msg := diffUntraced(cp, cell, dv, derr, dsim); msg != "" {
+		return msg
+	}
 	lv, lerr, lsim, lsink, err := runLegacy(cp, cell, nil)
 	if err != nil {
 		return fmt.Sprintf("%s: legacy construction: %v", cell.Name, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vliwvp/internal/ir"
@@ -12,12 +13,13 @@ import (
 // This file implements the decode-once half of the simulator split: a
 // Compile/Link step (DecodeImage) lowers an ir.Program plus its schedule
 // into a dense, immutable Image — flat per-block op arrays indexed by
-// block-local op IDs, presorted instruction issue lists, precomputed
-// operand/producer/latency/sync metadata, and a dense prediction-site
-// space — so the execution engine touches no maps, runs no sorts, and
-// calls no allocating helpers (op.Uses) in its cycle loop. An Image is
-// read-only after decode and safe to share across Simulators and
-// goroutines; all mutable run state lives in the Simulator.
+// block-local op IDs, presorted instruction issue lists, one flat
+// scoreboard list per instruction, precomputed operand/producer/latency/
+// sync metadata, and a dense prediction-site space — so the execution
+// engine touches no maps, runs no sorts, and calls no allocating helpers
+// (op.Uses) in its cycle loop. An Image is read-only after decode and
+// safe to share across Simulators and goroutines; all mutable run state
+// lives in the Simulator.
 
 // DecodeError is the typed refusal of the image decoder: the program or
 // schedule violates an invariant the dense image format cannot represent
@@ -81,6 +83,22 @@ type imgInstr struct {
 	// spec counts ops with Speculative set — the legacy engine's CCB
 	// admission charge (levied whether or not the op later issues plain).
 	spec int
+	// score is the scoreboard list: each op's uses and then its def, in
+	// ops (stall-scan) order, so the issue check is one flat scan. It is
+	// carved from one array per block.
+	score []scoreReg
+	// bits ORs the ops' non-check Synchronization bits and barrier marks
+	// a Call or Ret: the per-op structural scan can only stall when bits
+	// meets a busy bit or a barrier meets live speculation.
+	bits    uint64
+	barrier bool
+}
+
+// scoreReg is one scoreboard-list entry: a register an op reads or
+// writes, and that op's block index (stall events name the op).
+type scoreReg struct {
+	reg ir.Reg
+	op  int32
 }
 
 // imgBlock is one decoded basic block.
@@ -137,7 +155,7 @@ func (img *Image) NumLoadSites() int { return img.numLoadSites }
 // ImageFormatVersion names the decoded image layout; it participates in
 // cache keys (the pipeline decode pass's Fingerprint) so caches invalidate
 // when the format evolves.
-const ImageFormatVersion = "image/v1"
+const ImageFormatVersion = "image/v2"
 
 // Fingerprint identifies the image's decode inputs for caching: the image
 // format version and the machine (latencies enter every imgOp). Callers
@@ -244,6 +262,11 @@ func decodeBlock(img *Image, fn *imgFunc, f *ir.Func, b *ir.Block, bs *sched.Blo
 		if op.SyncBit != ir.NoBit && (op.SyncBit < 0 || op.SyncBit >= 64) {
 			return fail(i, fmt.Sprintf("Synchronization bit %d out of range [0,64)", op.SyncBit))
 		}
+		// The engine's plain write-back relies on execValue having stored
+		// Dest at issue, which holds for every pure op.
+		if op.Speculative && !op.Code.IsPure() {
+			return fail(i, "impure op marked speculative")
+		}
 		info := an.Info[i]
 		if len(info.Producers) != len(uses) {
 			return fail(i, "producer arity disagrees with uses")
@@ -321,6 +344,7 @@ func decodeBlock(img *Image, fn *imgFunc, f *ir.Func, b *ir.Block, bs *sched.Blo
 	}
 
 	blk.instrs = make([]imgInstr, len(bs.Instrs))
+	nScore := 0
 	for ii, in := range bs.Instrs {
 		di := &blk.instrs[ii]
 		di.waitBits = in.WaitBits
@@ -336,12 +360,47 @@ func decodeBlock(img *Image, fn *imgFunc, f *ir.Func, b *ir.Block, bs *sched.Blo
 			if op.Speculative {
 				di.spec++
 			}
+			nScore += len(blk.ops[idx].uses)
+			if blk.ops[idx].def != ir.NoReg {
+				nScore++
+			}
 		}
 		di.sorted = append([]int32(nil), di.ops...)
 		sort.Slice(di.sorted, func(a, b int) bool { return di.sorted[a] < di.sorted[b] })
 		img.numOps += len(in.Ops)
 	}
+	score := make([]scoreReg, 0, nScore)
+	for ii := range blk.instrs {
+		di := &blk.instrs[ii]
+		start := len(score)
+		score, di.bits, di.barrier = appendScore(score, blk, di.ops)
+		di.score = score[start:len(score):len(score)]
+	}
 	return nil
+}
+
+// appendScore appends to dst the scoreboard list of the instruction whose
+// ops are the block op indexes ops, and returns it with the OR of the
+// ops' non-check Synchronization bits and whether one is a Call or Ret.
+func appendScore(dst []scoreReg, blk *imgBlock, ops []int32) ([]scoreReg, uint64, bool) {
+	var bits uint64
+	barrier := false
+	for _, idx := range ops {
+		o := &blk.ops[idx]
+		for _, u := range o.uses {
+			dst = append(dst, scoreReg{reg: u, op: idx})
+		}
+		if o.def != ir.NoReg {
+			dst = append(dst, scoreReg{reg: o.def, op: idx})
+		}
+		if o.op.Code != ir.CheckLd {
+			bits |= o.bitMask
+		}
+		if o.op.Code == ir.Call || o.op.Code == ir.Ret {
+			barrier = true
+		}
+	}
+	return dst, bits, barrier
 }
 
 // Validate re-checks the dense invariants of a decoded image: every index
@@ -431,6 +490,16 @@ func (img *Image) Validate() error {
 					if k > 0 && in.sorted[k-1] > idx {
 						return fmt.Errorf("core: image %s b%d i%d: issue order not sorted", f.Name, bi, ii)
 					}
+				}
+				// The ops' registers and indexes are range-checked above, so
+				// equality range-checks every scoreboard entry too.
+				score, bits, barrier := appendScore(nil, blk, in.ops)
+				if !slices.Equal(in.score, score) {
+					return fmt.Errorf("core: image %s b%d i%d: scoreboard list disagrees with the ops' uses and defs", f.Name, bi, ii)
+				}
+				if in.bits != bits || in.barrier != barrier {
+					return fmt.Errorf("core: image %s b%d i%d: Synchronization bits %#x or barrier %v disagree with the ops",
+						f.Name, bi, ii, in.bits, in.barrier)
 				}
 			}
 		}

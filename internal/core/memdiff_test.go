@@ -42,8 +42,9 @@ func (m *memFilterSink) Event(e *obs.Event) {
 	m.recSink.Event(e)
 }
 
-// diffMemCell runs one compiled cell on the decoded engine (recording)
-// and the legacy engine (replaying) and describes the first divergence.
+// diffMemCell runs one compiled cell on the decoded engine (recording),
+// again untraced, and on the legacy engine (replaying) and describes the
+// first divergence.
 func diffMemCell(cp *conform.CellPipeline, cell conform.Cell) string {
 	dsim := cp.NewSim(cell)
 	rec := &core.MemTrace{}
@@ -51,6 +52,9 @@ func diffMemCell(cp *conform.CellPipeline, cell conform.Cell) string {
 	dsink := &memFilterSink{}
 	dsim.Sink = dsink
 	dv, derr := dsim.Run("main")
+	if msg := diffUntraced(cp, cell, dv, derr, dsim); msg != "" {
+		return msg
+	}
 
 	lsim, err := core.NewLegacySimulator(cp.Img.Prog, cp.Img.Sched, cell.D, cp.Schemes)
 	if err != nil {

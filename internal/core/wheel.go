@@ -16,7 +16,11 @@ import "vliwvp/internal/ir"
 type wevKind uint8
 
 const (
-	// wevWrite lands a register write (writeReg/applyWriteAt).
+	// wevWrite lands a register write: an LdPred prediction, a return
+	// value, or a speculative result. A plain write-back, which execValue
+	// stored at issue, is an event only in a traced run (for its
+	// reg.write event); untraced, writePlain keeps it off the wheel, so
+	// it pins no frame.
 	wevWrite wevKind = iota
 	// wevClearBits clears Synchronization bits (CCE flush completion).
 	wevClearBits
