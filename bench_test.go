@@ -169,7 +169,7 @@ func BenchmarkBaselineComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		compBase, compOurs, missBase, missOurs = 0, 0, 0, 0
 		for _, bd := range data {
-			row, err := r.CompareBaseline(bd, exp.DefaultICache)
+			row, err := r.CompareBaseline(bd)
 			if err != nil {
 				b.Fatal(err)
 			}

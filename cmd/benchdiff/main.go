@@ -18,11 +18,8 @@
 // within the new record alone (so they hold on any host):
 // sim/decoded-grid and sim/cached-grid must report zero allocations per
 // run — the decode-once engine's steady-state pooling contract, with and
-// without the memory hierarchy — sim/cached-grid must cost more cycles
-// than the flat grid (a hierarchy that charges nothing is miswired), and
-// the sim/legacy-grid to sim/decoded-grid wall-time ratio must stay at or
-// above -engine-speedup (default 2.0), since both rows are measured
-// back-to-back on the same machine over identical compile products.
+// without the memory hierarchy — and sim/cached-grid must cost more cycles
+// than the flat grid (a hierarchy that charges nothing is miswired).
 package main
 
 import (
@@ -66,8 +63,6 @@ func main() {
 	newPath := flag.String("new", "", "freshly measured perf record to gate")
 	tol := flag.Float64("tol", 0.10, "relative tolerance for cycles and allocations")
 	wallTol := flag.Float64("wall-tol", 0, "relative tolerance for wall time (0 = ignore wall time)")
-	engineSpeedup := flag.Float64("engine-speedup", 2.0,
-		"minimum legacy/decoded wall-time ratio within the new record (0 = skip)")
 	flag.Parse()
 	if *newPath == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -new is required")
@@ -120,7 +115,7 @@ func main() {
 		}
 	}
 
-	// Absolute gates on the engine-comparison rows of the new record.
+	// Absolute gates on the simulation-grid rows of the new record.
 	if dec := now.Entry("sim/decoded-grid"); dec != nil {
 		if dec.AllocsPerOp != 0 {
 			fails = append(fails, fmt.Sprintf(
@@ -149,17 +144,6 @@ func main() {
 				fails = append(fails, fmt.Sprintf(
 					"FAIL %-22s %-14s %12d cycles not above flat grid %d (control speculation charged nothing)",
 					br.Name, "cycles", br.Cycles, dec.Cycles))
-			}
-		}
-		if leg := now.Entry("sim/legacy-grid"); leg != nil && *engineSpeedup > 0 && dec.WallNS > 0 {
-			ratio := float64(leg.WallNS) / float64(dec.WallNS)
-			if ratio < *engineSpeedup {
-				fails = append(fails, fmt.Sprintf(
-					"FAIL %-22s %-14s %.2fx legacy/decoded wall ratio (< %.2fx floor)",
-					dec.Name, "wall_ratio", ratio, *engineSpeedup))
-			} else {
-				fmt.Printf("ok   %-22s %-14s %.2fx legacy/decoded wall ratio (>= %.2fx floor)\n",
-					dec.Name, "wall_ratio", ratio, *engineSpeedup)
 			}
 		}
 	}

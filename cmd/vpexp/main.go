@@ -291,7 +291,7 @@ func main() {
 		return nil
 	})
 	run("baseline", func() error {
-		t, _, err := exp.RenderBaseline(r, exp.DefaultICache)
+		t, _, err := exp.RenderBaseline(r)
 		if err != nil {
 			return err
 		}

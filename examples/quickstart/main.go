@@ -12,6 +12,7 @@ import (
 	"vliwvp/internal/core"
 	"vliwvp/internal/ddg"
 	"vliwvp/internal/machine"
+	"vliwvp/internal/obs"
 	"vliwvp/internal/profile"
 	"vliwvp/internal/sched"
 	"vliwvp/internal/speculate"
@@ -71,9 +72,9 @@ func main() {
 	for _, c := range cases {
 		fmt.Printf("=== %s ===\n", c.name)
 		tm := core.NewTiming(d)
-		tm.Trace = func(cycle int, event string) {
-			fmt.Printf("  cycle %2d: %s\n", cycle, event)
-		}
+		tm.Sink = obs.TextFunc(func(cycle int64, line string) {
+			fmt.Printf("  cycle %2d: %s\n", cycle, line)
+		})
 		r, err := tm.SimulateBlock(ss, an, c.mask)
 		if err != nil {
 			log.Fatal(err)

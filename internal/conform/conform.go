@@ -21,7 +21,8 @@
 //     counters, and the published metrics snapshot all agree (every
 //     buffered entry is eventually flushed or re-executed, every
 //     prediction is checked and resolved, every stall event has its
-//     counter).
+//     counter, and no CCE flush follows a branch mispredict in the same
+//     cycle).
 //
 // A violated invariant produces a Failure carrying the seed and a
 // shrunken program (progen.Minimize re-runs the harness while deleting
@@ -345,7 +346,7 @@ func CheckSeed(seed int64, opt Options) (*Failure, Stats, error) {
 
 // Compile runs the conformance front end — lower, optimize, value
 // profile — over VL source (typically progen output). Exported so the
-// engine-diff suite compiles its corpus exactly the way the conformance
+// timing digest compiles its corpus exactly the way the conformance
 // harness does.
 func Compile(src string) (*ir.Program, *profile.Profile, error) {
 	fctx := &pipeline.Ctx{Source: src}
@@ -455,9 +456,9 @@ func scheduleDecode(prog *ir.Program, d *machine.Desc) (*core.Image, error) {
 
 // CellPipeline is one cell's compiled speculative pipeline: the transform
 // result, the decoded execution image, and the per-site predictor schemes.
-// The image is immutable — any number of simulators (one per engine, one
-// per goroutine) may bind to it. The engine-diff suite uses this to run
-// the decoded and legacy engines over identical compiles.
+// The image is immutable — any number of simulators (one per goroutine)
+// may bind to it. The timing digest in internal/core uses this to run
+// each cell traced and untraced over one compile.
 type CellPipeline struct {
 	Spec    *speculate.Result
 	Img     *core.Image
@@ -791,6 +792,10 @@ type countSink struct {
 	kinds      map[obs.Kind]int64
 	resolveBad int64 // trusted (non-gated) resolves with a wrong prediction
 	gatedBad   int64 // gated resolves whose prediction was wrong
+	// mispredictAt is 1 + the cycle of the latest branch.mispredict (0 =
+	// none); flushAfterMispredict counts cce.flush events in such a cycle.
+	mispredictAt         int64
+	flushAfterMispredict int64
 }
 
 func (c *countSink) Event(e *obs.Event) {
@@ -798,11 +803,21 @@ func (c *countSink) Event(e *obs.Event) {
 		c.kinds = map[obs.Kind]int64{}
 	}
 	c.kinds[e.Kind]++
-	if e.Kind == obs.KindCheckResolve && !e.Correct {
+	switch e.Kind {
+	case obs.KindCheckResolve:
+		if e.Correct {
+			break
+		}
 		if e.Gated {
 			c.gatedBad++
 		} else {
 			c.resolveBad++
+		}
+	case obs.KindBranchMispredict:
+		c.mispredictAt = e.Cycle + 1
+	case obs.KindCCEFlush:
+		if e.Cycle+1 == c.mispredictAt {
+			c.flushAfterMispredict++
 		}
 	}
 }
@@ -885,6 +900,13 @@ func (c *countSink) diff(sim *core.Simulator, cell Cell) string {
 	}
 	if sim.BranchSquashed > sim.BranchFlushed {
 		return fmt.Sprintf("%d squashed CCB entries exceed %d total branch flushes", sim.BranchSquashed, sim.BranchFlushed)
+	}
+	// A mispredict's squash retires every verified-correct CCB head
+	// entry, and no check resolves between the VLIW and CCE steps of one
+	// cycle, so the CCE has nothing left to flush in that cycle.
+	if c.flushAfterMispredict != 0 {
+		return fmt.Sprintf("%d cce.flush events followed a branch.mispredict in the same cycle (the squash missed verified CCB entries)",
+			c.flushAfterMispredict)
 	}
 	hist, ok := snap.Histograms["ccb.occupancy"]
 	if !ok {

@@ -236,6 +236,40 @@ func TestConformanceCatchesInjectedMisgateBug(t *testing.T) {
 	t.Logf("caught with seed %d on cell %s", caught.Seed, caught.Cell)
 }
 
+// TestConformanceCatchesInjectedFlushElide proves the branch axis has
+// teeth: with the mispredict flush skipped, verified CCB entries the
+// squash should have retired drain through the CCE in the mispredict's
+// own cycle. The fault changes no architectural state, so only the event
+// self-consistency check can catch it, with a minimized reproduction.
+func TestConformanceCatchesInjectedFlushElide(t *testing.T) {
+	opt := Options{
+		Lattice: BranchLattice(),
+		Tamper:  func(s *core.Simulator) { s.FaultBranchFlushElide = true },
+	}
+	var caught *Failure
+	for seed := int64(1); seed <= 40 && caught == nil; seed++ {
+		f, _, err := CheckSeed(seed, opt)
+		if err != nil {
+			t.Fatalf("seed %d: harness error: %v", seed, err)
+		}
+		caught = f
+	}
+	if caught == nil {
+		t.Fatal("injected branch-flush elision went undetected across 40 seeds")
+	}
+	if caught.Invariant != "metrics" || !strings.Contains(caught.Detail, "cce.flush") {
+		t.Errorf("injected bug reported as %q: %s; want the same-cycle cce.flush metrics violation",
+			caught.Invariant, caught.Detail)
+	}
+	if caught.Cell == "w4-branch-nil" {
+		t.Errorf("divergence caught on cell %q, which has no branch predictor", caught.Cell)
+	}
+	if caught.Source == "" || caught.Seed == 0 {
+		t.Errorf("failure not reproducible: %+v", caught)
+	}
+	t.Logf("caught with seed %d on cell %s", caught.Seed, caught.Cell)
+}
+
 // TestConformanceCatchesInjectedCCEBug proves the suite's teeth: with a
 // deliberately corrupted CCE write-back datapath, some seed must produce
 // an architectural divergence, reported with the seed and a minimized

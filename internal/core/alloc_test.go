@@ -74,8 +74,7 @@ func TestSimulatorRunZeroAllocWithCache(t *testing.T) {
 	// The memory hierarchy must preserve the steady-state guarantee for
 	// every stock config: the tag arrays, prefetcher streams, and the
 	// far-future miss latencies spilling past the event wheel all reuse
-	// pooled storage. MemRec stays nil — recording is a diff tool and may
-	// grow its trace.
+	// pooled storage.
 	for _, mem := range machine.StockMem() {
 		t.Run(mem.Name, func(t *testing.T) {
 			sim, _ := buildSim(t, allocKernel, true, machine.W4)

@@ -219,13 +219,49 @@ func (m *memSys) iAccess(addr, now int64) (pen int64, miss bool) {
 	return pen, true
 }
 
-// MemTrace is the per-access timing record of one decoded-engine run
-// under a memory hierarchy: the latency of every load (VLIW demand and
-// CCE re-execution, in access order) and the stall penalty of every
-// first-time instruction fetch. The memory engine-diff drives the legacy
-// oracle with a recorded trace, pinning that dynamic latency is the only
-// thing the hierarchy changes.
-type MemTrace struct {
-	Loads []int64
-	Fetch []int64
+// LRUCache is one true-LRU level with no timing: a set-associative cache
+// over word addresses that counts hits and misses, for trace studies
+// outside the simulator (the baseline comparison's I-cache pollution
+// study). Addresses must be non-negative.
+type LRUCache struct {
+	l            cacheLevel
+	tick         int64
+	Hits, Misses int64
+}
+
+// NewLRUCache builds an empty cache of p's geometry (p.HitLat is unused).
+func NewLRUCache(p machine.CacheParams) *LRUCache { return &LRUCache{l: newCacheLevel(&p)} }
+
+// Access touches the word at addr and reports whether it hit.
+func (c *LRUCache) Access(addr int64) bool {
+	c.tick++
+	line := addr >> c.l.lineShift
+	if i := c.l.lookup(line); i >= 0 {
+		c.l.stamp[i] = c.tick
+		c.Hits++
+		return true
+	}
+	c.l.fill(line, c.tick)
+	c.Misses++
+	return false
+}
+
+// AccessRange touches every line covering [addr, addr+words) and returns
+// the misses incurred — the shape of a block fetch.
+func (c *LRUCache) AccessRange(addr int64, words int) int {
+	misses := 0
+	for line := addr >> c.l.lineShift; line <= (addr+int64(words)-1)>>c.l.lineShift; line++ {
+		if !c.Access(line << c.l.lineShift) {
+			misses++
+		}
+	}
+	return misses
+}
+
+// MissRate returns the miss fraction so far (0 before any access).
+func (c *LRUCache) MissRate() float64 {
+	if c.Hits+c.Misses == 0 {
+		return 0
+	}
+	return float64(c.Misses) / float64(c.Hits+c.Misses)
 }

@@ -17,7 +17,7 @@ import (
 // Div survives and, being the slowest op, lands after the root Ret has
 // issued with nothing else in flight: only the drain horizon stretches an
 // untraced run's Cycles to that landing, as the traced run's wheel drain
-// and the legacy engine do.
+// does. Both runs take 12 cycles.
 func TestPlainWriteDrainHorizon(t *testing.T) {
 	const src = `func main() {
 	var a = 7
@@ -46,12 +46,8 @@ func TestPlainWriteDrainHorizon(t *testing.T) {
 	sink := &collectSink{}
 	traced.Sink = sink
 	untraced := core.NewSimulatorFromImage(img, nil)
-	legacy, err := core.NewLegacySimulator(prog, ps, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, run := range map[string]func(string, ...uint64) (uint64, error){
-		"traced": traced.Run, "untraced": untraced.Run, "legacy": legacy.Run,
+		"traced": traced.Run, "untraced": untraced.Run,
 	} {
 		if v, err := run("main"); err != nil || v != 7 {
 			t.Fatalf("%s run: got (%d, %v), want (7, nil)", name, v, err)
@@ -69,9 +65,8 @@ func TestPlainWriteDrainHorizon(t *testing.T) {
 	if n == 0 || sink.events[n-1].Kind != obs.KindRegWrite || sink.events[n-1].Cycle <= lastIssue {
 		t.Fatalf("no write-back lands after the last issue (cycle %d); the program no longer exercises the drain", lastIssue)
 	}
-	if untraced.Cycles != traced.Cycles || legacy.Cycles != traced.Cycles {
-		t.Fatalf("Cycles: untraced %d, traced %d, legacy %d; want all equal",
-			untraced.Cycles, traced.Cycles, legacy.Cycles)
+	if untraced.Cycles != 12 || traced.Cycles != 12 {
+		t.Fatalf("Cycles: untraced %d, traced %d; want 12 for both", untraced.Cycles, traced.Cycles)
 	}
 	if last := sink.events[n-1].Cycle; traced.Cycles != last+1 {
 		t.Fatalf("Cycles %d, last write-back lands at cycle %d", traced.Cycles, last)

@@ -24,16 +24,17 @@ import (
 // dense Image (see image.go) exactly once, and Run executes against flat
 // arrays — a ring-buffer event wheel instead of a cycle-keyed closure map,
 // pooled frames and block instances instead of per-call allocations, and a
-// dense predictor slice instead of a map. With no Sink or Debug attached,
-// the warmed steady state allocates nothing per cycle; the engine-diff
-// suite pins it cycle-, event-, and state-identical to LegacySimulator.
+// dense predictor slice instead of a map. With no Sink attached, the
+// warmed steady state allocates nothing per cycle; the timing digest
+// (digest_test.go) freezes its cycles, counters, events and final state
+// over the CI corpora.
 //
 // Pooling invariants (the Reset contract):
 //   - a frame is recycled only when it is dead (popped or reset) AND no
 //     in-flight wheel event still references it (pin count zero) — late
-//     write-backs to a dead frame must still arbitrate and trace exactly
-//     as the legacy engine's closures did. An untraced plain write-back
-//     is not an event (writePlain), so it pins nothing;
+//     write-backs to a dead frame must still arbitrate and trace. An
+//     untraced plain write-back is not an event (writePlain), so it pins
+//     nothing;
 //   - a block instance is recycled only when no frame runs it, no CCB
 //     entry of it is live, and no check-resolve event references it;
 //   - acquisition clears registers, scoreboard, sequence numbers, site
@@ -63,11 +64,6 @@ type Simulator struct {
 	// it never affects compilation or architectural results (the
 	// conformance suite pins that only cycle counts move).
 	MemCfg *machine.MemConfig
-	// MemRec, when set, records the next Run's per-access load latencies
-	// and per-fetch stall penalties (truncated at reset, so each Run
-	// records fresh). The memory engine-diff replays the trace through
-	// the legacy oracle.
-	MemRec *MemTrace
 	// PredCfg parameterizes the hardware value predictors (table sizes for
 	// the forced schemes) and enables runtime confidence gating when its
 	// ConfThreshold is positive: each site carries a saturating counter
@@ -84,12 +80,9 @@ type Simulator struct {
 	// Sink, when set, receives a typed obs.Event per engine event:
 	// instruction issues, stalls, predictions, CCB captures, verification
 	// verdicts, compensation flushes/re-executions, and register
-	// write-backs. With neither Sink nor Debug attached, the issue/stall
-	// path performs no event work at all.
+	// write-backs. With no Sink attached, the issue/stall path performs no
+	// event work at all; obs.TextFunc narrates the events as text lines.
 	Sink obs.EventSink
-	// Debug is the legacy text hook (a line per engine event), rendered
-	// from the typed events by the obs narrator. Ignored when Sink is set.
-	Debug func(cycle int64, msg string)
 
 	// SerialRecovery switches the machine to the prior scheme the paper
 	// compares against ([4]): no Compensation Code Engine — on a
@@ -126,12 +119,12 @@ type Simulator struct {
 	// outside tests.
 	FaultConfidenceMisgate bool
 	// FaultBranchFlushElide, when set, models a flush-logic bug: a
-	// mispredicted branch fails to flush the terminating block's
-	// unresolved LdPred sites. The flush is architecturally conservative
-	// (flushed-correct sites re-execute to identical values), so this
-	// fault is invisible to single-engine invariants — the branch
-	// engine-diff teeth test catches it as a decoded-vs-legacy cycle and
-	// event divergence instead. Never set outside tests.
+	// mispredicted branch skips the whole wrong-path flush (flushInFlight)
+	// — in-flight LdPred sites are not marked and verified CCB head
+	// entries are not squashed. The flush is architecturally conservative,
+	// so the fault changes no architectural state; the conformance event
+	// check (no cce.flush in a mispredict's cycle) and the timing digest
+	// catch it instead. Never set outside tests.
 	FaultBranchFlushElide bool
 
 	// Results.
@@ -459,10 +452,6 @@ func (s *Simulator) reset() {
 // config rebinding, reset in place (no allocation) when the binding is
 // unchanged — the batch rebinding path stays zero-alloc in steady state.
 func (s *Simulator) resetMem() {
-	if s.MemRec != nil {
-		s.MemRec.Loads = s.MemRec.Loads[:0]
-		s.MemRec.Fetch = s.MemRec.Fetch[:0]
-	}
 	if s.MemCfg.Flat() {
 		// A nil or explicitly flat config is the legacy fixed-latency
 		// machine: no hierarchy state, no mem events, no counters — byte
@@ -512,11 +501,8 @@ func (s *Simulator) loadAccess(flat int64, site int32, addr int64, train bool) i
 				served = 0 // main memory
 			}
 		}
-		s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW, Kind: kind,
+		s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW, Kind: kind,
 			Bit: -1, Addr: addr, Lat: lat, Level: served})
-	}
-	if s.MemRec != nil {
-		s.MemRec.Loads = append(s.MemRec.Loads, lat)
 	}
 	if train && s.pf != nil && site >= 0 {
 		if confirmed, delta := s.pf.observe(site, addr); confirmed {
@@ -525,7 +511,7 @@ func (s *Simulator) loadAccess(flat int64, site int32, addr int64, train bool) i
 				if s.msys.prefetchFill(pa, s.cycle) {
 					s.PrefIssued++
 					if s.tracing() {
-						s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+						s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 							Kind: obs.KindMemPrefetch, Bit: -1, Addr: pa, Site: int(site)})
 					}
 				}
@@ -535,21 +521,9 @@ func (s *Simulator) loadAccess(flat int64, site int32, addr int64, train bool) i
 	return lat
 }
 
-// tracing reports whether any event consumer is attached; emitters guard
-// on it so the disabled path builds no events.
-func (s *Simulator) tracing() bool { return s.Sink != nil || s.Debug != nil }
-
-// emit delivers one event to the typed sink, or narrates it into the
-// legacy Debug hook.
-func (s *Simulator) emit(e *obs.Event) {
-	if s.Sink != nil {
-		s.Sink.Event(e)
-		return
-	}
-	if s.Debug != nil {
-		s.Debug(e.Cycle, obs.Narrate(e))
-	}
-}
+// tracing reports whether an event sink is attached; emitters guard on it
+// so the disabled path builds no events.
+func (s *Simulator) tracing() bool { return s.Sink != nil }
 
 // Metrics returns the observability snapshot of the most recent Run (or
 // the zeroed state before any run): every stall cause, prediction and
@@ -673,8 +647,8 @@ func (s *Simulator) Run(entry string, args ...uint64) (uint64, error) {
 }
 
 // FinalRegs returns the root frame's register file as of the end of the
-// most recent successful Run (the architectural register state the
-// engine-diff suite compares). The slice is reused across runs.
+// most recent successful Run (the architectural register state the timing
+// digest hashes). The slice is reused across runs.
 func (s *Simulator) FinalRegs() []uint64 { return s.finalRegs }
 
 // acquireFrame takes a frame from the pool (or allocates the first time)
@@ -804,7 +778,7 @@ func resizeSites(s []siteInst, n int) []siteInst {
 
 // schedule enqueues a typed event, pinning the pooled objects it
 // references; cycles at or before the current one execute immediately
-// (the legacy at() contract — unreachable with stock latencies, all >= 1).
+// (unreachable with stock latencies, all >= 1).
 func (s *Simulator) schedule(cycle int64, ev wev) {
 	if cycle <= s.cycle {
 		s.execEventBody(&ev)
@@ -832,8 +806,7 @@ func (s *Simulator) execEvent(ev *wev) {
 	}
 }
 
-// execEventBody applies an event's semantic action (the body of the
-// closure the legacy engine would have scheduled).
+// execEventBody applies an event's semantic action.
 func (s *Simulator) execEventBody(ev *wev) {
 	switch ev.kind {
 	case wevWrite:
@@ -848,8 +821,7 @@ func (s *Simulator) execEventBody(ev *wev) {
 	}
 }
 
-// resolveCheck completes a check-prediction load: the body of the legacy
-// engine's check closure, verbatim.
+// resolveCheck completes a check-prediction load.
 func (s *Simulator) resolveCheck(ev *wev) {
 	si := &ev.inst.sites[ev.li]
 	actual := ev.val
@@ -857,7 +829,7 @@ func (s *Simulator) resolveCheck(ev *wev) {
 	si.actual = actual
 	correct := actual == si.predicted
 	if s.tracing() {
-		s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+		s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 			Kind: obs.KindCheckResolve, Op: ev.op, Bit: -1, Site: ev.op.PredID,
 			Predicted: int64(si.predicted), Actual: int64(actual),
 			Correct: correct, Gated: si.suppressed, Flushed: si.flushed})
@@ -965,14 +937,11 @@ func (s *Simulator) stepVLIW() (bool, error) {
 			if miss {
 				s.IMisses++
 			}
-			if s.MemRec != nil {
-				s.MemRec.Fetch = append(s.MemRec.Fetch, pen)
-			}
 		}
 		if s.cycle < fr.fetchUntil {
 			s.StallIFetch++
 			if s.tracing() {
-				s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+				s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 					Kind: obs.KindStallIFetch, Bit: -1})
 			}
 			return false, nil
@@ -983,7 +952,7 @@ func (s *Simulator) stepVLIW() (bool, error) {
 	if in.waitBits&s.syncBusy != 0 {
 		s.StallSync++
 		if s.tracing() {
-			s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+			s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 				Kind: obs.KindStallSync, Bit: -1, Wait: in.waitBits, Busy: s.syncBusy})
 		}
 		return false, nil
@@ -994,7 +963,7 @@ func (s *Simulator) stepVLIW() (bool, error) {
 		if fr.readyAt[sr.reg] > s.cycle {
 			s.StallScore++
 			if s.tracing() {
-				s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+				s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 					Kind: obs.KindStallScore, Op: blk.ops[sr.op].op, Bit: -1, Reg: sr.reg})
 			}
 			return false, nil
@@ -1010,7 +979,7 @@ func (s *Simulator) stepVLIW() (bool, error) {
 			if o.bitMask != 0 && o.op.Code != ir.CheckLd && s.syncBusy&o.bitMask != 0 {
 				s.StallSync++
 				if s.tracing() {
-					s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+					s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 						Kind: obs.KindStallSync, Op: o.op, Bit: o.op.SyncBit,
 						Wait: o.bitMask, Busy: s.syncBusy})
 				}
@@ -1020,7 +989,7 @@ func (s *Simulator) stepVLIW() (bool, error) {
 				if s.syncBusy != 0 || s.ccbHead < len(s.ccb) {
 					s.StallBar++
 					if s.tracing() {
-						s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+						s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 							Kind: obs.KindStallBarrier, Op: o.op, Bit: -1, Busy: s.syncBusy})
 					}
 					return false, nil
@@ -1031,14 +1000,14 @@ func (s *Simulator) stepVLIW() (bool, error) {
 	if in.spec > 0 && len(s.ccb)-s.ccbHead+in.spec > s.CCBCapacity {
 		s.StallCCB++
 		if s.tracing() {
-			s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+			s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 				Kind: obs.KindStallCCB, Bit: -1})
 		}
 		return false, nil
 	}
 
 	if s.tracing() {
-		s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW, Kind: obs.KindInstrIssue,
+		s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW, Kind: obs.KindInstrIssue,
 			Bit: -1, Func: fr.fn.f.Name, Block: fr.blockID, Instr: fr.instrIdx})
 	}
 	// Issue. Operations within one long instruction execute in program
@@ -1086,7 +1055,7 @@ func (s *Simulator) issueDataOp(fr *frame, blk *imgBlock, o *imgOp) error {
 			if si.suppressed {
 				kind = obs.KindPredSuppress
 			}
-			s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+			s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 				Kind: kind, Op: op, Bit: op.SyncBit, Predicted: int64(v)})
 		}
 		s.writeReg(fr, op.Dest, v, o.lat)
@@ -1109,7 +1078,7 @@ func (s *Simulator) issueDataOp(fr *frame, blk *imgBlock, o *imgOp) error {
 		lat := s.loadAccess(o.lat, o.ldSite, addr, true)
 		seq := s.nextSeq(fr, op.Dest)
 		if s.tracing() {
-			s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+			s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 				Kind: obs.KindCheckIssue, Op: op, Bit: -1, Done: s.cycle + lat,
 				Site: op.PredID, Correct: actual == si.predicted})
 		}
@@ -1157,7 +1126,7 @@ func (s *Simulator) issueSpecOp(fr *frame, blk *imgBlock, o *imgOp) error {
 			return fmt.Errorf("core: %s: %w", op, err)
 		}
 		if s.tracing() {
-			s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+			s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 				Kind: obs.KindPlainIssue, Op: op, Bit: -1})
 		}
 		s.writePlain(fr, op.Dest, v, lat)
@@ -1214,7 +1183,7 @@ func (s *Simulator) issueSpecOp(fr *frame, blk *imgBlock, o *imgOp) error {
 	}
 	s.ccbOcc[occ]++
 	if s.tracing() {
-		s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+		s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 			Kind: obs.KindBufferCCB, Op: op, Bit: op.SyncBit,
 			Operands: dynSiteStates(inst, o.predSet)})
 	}
@@ -1270,7 +1239,7 @@ func (s *Simulator) issueControl(fr *frame, blk *imgBlock, o *imgOp) (bool, erro
 					if pred {
 						p = 1
 					}
-					s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+					s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 						Kind: obs.KindBranchMispredict, Bit: -1,
 						Func: fr.fn.f.Name, Block: fr.blockID, Predicted: p})
 				}
@@ -1343,7 +1312,7 @@ func (s *Simulator) flushInFlight() {
 		si.flushed = true
 		s.BranchFlushed++
 		if s.tracing() {
-			s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+			s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 				Kind: obs.KindBranchFlush, Bit: -1, Site: pc.inst.blk.an.Sites[pc.li].PredID})
 		}
 	}
@@ -1359,7 +1328,7 @@ func (s *Simulator) flushInFlight() {
 			s.simErr = fmt.Errorf("core: %s: %w", e.op, e.issueErr)
 		}
 		if s.tracing() {
-			s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineCCE,
+			s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineCCE,
 				Kind: obs.KindBranchFlush, Op: e.op, Bit: -1})
 		}
 		if !e.bitCleared {
@@ -1490,7 +1459,7 @@ func (s *Simulator) drainResolvedSerial() {
 			e.newValue = v
 			e.doneAt = s.cycle
 			if s.tracing() {
-				s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineCCE,
+				s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineCCE,
 					Kind: obs.KindCCEExecute, Op: e.op, Bit: e.op.SyncBit, Done: e.doneAt})
 			}
 			// Re-issue under a fresh sequence number: the recovery block's
@@ -1505,7 +1474,7 @@ func (s *Simulator) drainResolvedSerial() {
 				return
 			}
 			if s.tracing() {
-				s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineCCE,
+				s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineCCE,
 					Kind: obs.KindCCEFlush, Op: e.op, Bit: -1})
 			}
 			s.CCEFlushed++
@@ -1566,7 +1535,7 @@ func (s *Simulator) stepCCE() {
 			s.simErr = fmt.Errorf("core: %s: %w", e.op, e.issueErr)
 		}
 		if s.tracing() {
-			s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineCCE,
+			s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineCCE,
 				Kind: obs.KindCCEFlush, Op: e.op, Bit: -1})
 		}
 		if !e.bitCleared {
@@ -1609,7 +1578,7 @@ func (s *Simulator) stepCCE() {
 	e.newValue = v
 	e.doneAt = s.cycle + lat
 	if s.tracing() {
-		s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineCCE,
+		s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineCCE,
 			Kind: obs.KindCCEExecute, Op: e.op, Bit: e.op.SyncBit, Done: e.doneAt})
 	}
 	mask := uint64(0)
@@ -1750,14 +1719,14 @@ func (s *Simulator) applyWrite(fr *frame, r ir.Reg, v uint64, seq int64) {
 	}
 	if fr.lastSeq[r] != seq {
 		if s.tracing() {
-			s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+			s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 				Kind: obs.KindRegWriteSuppressed, Bit: -1, Reg: r,
 				Value: int64(v), Seq: seq, LastSeq: fr.lastSeq[r]})
 		}
 		return
 	}
 	if s.tracing() {
-		s.emit(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
+		s.Sink.Event(&obs.Event{Cycle: s.cycle, Engine: obs.EngineVLIW,
 			Kind: obs.KindRegWrite, Bit: -1, Reg: r, Value: int64(v), Seq: seq})
 	}
 	fr.regs[r] = v
@@ -1766,8 +1735,7 @@ func (s *Simulator) applyWrite(fr *frame, r ir.Reg, v uint64, seq int64) {
 // sitePredictor resolves (or lazily builds) the predictor of a site for
 // the current run. Default-scheme predictors are recycled across runs via
 // Reset — a reset predictor is indistinguishable from a cold one — while
-// the NewPredictor hook, when set, is honored once per site per run
-// exactly as the legacy engine's per-run map did.
+// the NewPredictor hook, when set, is honored once per site per run.
 func (s *Simulator) sitePredictor(predID int) predict.Predictor {
 	if s.predRun[predID] == s.runEpoch {
 		return s.preds[predID]

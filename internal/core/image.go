@@ -76,11 +76,11 @@ type imgInstr struct {
 	// the I-cache indexes on it.
 	fetchAddr int64
 	// ops holds block op indexes in schedule order (the stall-check scan
-	// order of the legacy engine); sorted holds the same indexes in
-	// ascending block order (its issue order).
+	// order); sorted holds the same indexes in ascending block order (the
+	// issue order).
 	ops    []int32
 	sorted []int32
-	// spec counts ops with Speculative set — the legacy engine's CCB
+	// spec counts ops with Speculative set — the instruction's CCB
 	// admission charge (levied whether or not the op later issues plain).
 	spec int
 	// score is the scoreboard list: each op's uses and then its def, in
@@ -130,8 +130,8 @@ type Image struct {
 	D     *machine.Desc
 
 	funcs map[string]*imgFunc
-	// analyses retains the per-block static decode in NewSimulator's
-	// legacy-compatible map shape.
+	// analyses retains the per-block static decode, keyed by function
+	// (Simulator.Analyses).
 	analyses map[string][]*BlockAnalysis
 
 	maxRegs      int

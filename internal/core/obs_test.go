@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"vliwvp/internal/core"
@@ -64,34 +63,6 @@ func TestTimingZeroAllocWithoutSink(t *testing.T) {
 	}
 }
 
-// TestTimingSinkMatchesLegacyTrace runs the same simulation through the
-// legacy Trace hook and through a typed TextFunc sink and requires
-// identical narration — the typed layer is a superset representation, not
-// a rewording.
-func TestTimingSinkMatchesLegacyTrace(t *testing.T) {
-	d := machine.W4
-	_, bs, an := paperSetup(t, d)
-	for _, mask := range []uint32{0, 1, 2, 3} {
-		tm := core.NewTiming(d)
-		var legacy []string
-		tm.Trace = func(cycle int, event string) { legacy = append(legacy, event) }
-		if _, err := tm.SimulateBlock(bs, an, mask); err != nil {
-			t.Fatal(err)
-		}
-
-		tm2 := core.NewTiming(d)
-		var typed []string
-		tm2.Sink = obs.TextFunc(func(cycle int64, line string) { typed = append(typed, line) })
-		if _, err := tm2.SimulateBlock(bs, an, mask); err != nil {
-			t.Fatal(err)
-		}
-		if strings.Join(legacy, "\n") != strings.Join(typed, "\n") {
-			t.Errorf("mask %#x: legacy trace and typed narration diverge:\n--- legacy\n%s\n--- typed\n%s",
-				mask, strings.Join(legacy, "\n"), strings.Join(typed, "\n"))
-		}
-	}
-}
-
 // TestTimingJSONLTrace drives the timing model into a JSONL sink and
 // decodes the trace back, checking the Figure 7 narrative survives the
 // wire: prediction loads, CCB captures with operand states, verification
@@ -146,8 +117,7 @@ func TestTimingJSONLTrace(t *testing.T) {
 
 // TestSimulatorSinkEvents runs the dynamic dual-engine simulator with a
 // collecting sink over a mixed hit/miss kernel and checks the full event
-// taxonomy shows up, and that Debug (the legacy hook) sees the narrated
-// equivalents.
+// taxonomy shows up.
 func TestSimulatorSinkEvents(t *testing.T) {
 	sim, _ := buildSim(t, resetKernel, true, machine.W4)
 	sink := &collectSink{}
@@ -179,21 +149,5 @@ func TestSimulatorSinkEvents(t *testing.T) {
 	}
 	if got := count[obs.KindCCEFlush]; int64(got) != sim.CCEFlushed {
 		t.Errorf("cce.flush events %d != CCEFlushed %d", got, sim.CCEFlushed)
-	}
-
-	// The same run through the Debug hook narrates the same events.
-	sim2, _ := buildSim(t, resetKernel, true, machine.W4)
-	var lines []string
-	sim2.Debug = func(cycle int64, msg string) { lines = append(lines, msg) }
-	if _, err := sim2.Run("main"); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(lines) != len(sink.events) {
-		t.Fatalf("Debug narrated %d lines, sink saw %d events", len(lines), len(sink.events))
-	}
-	for i := range lines {
-		if want := obs.Narrate(&sink.events[i]); lines[i] != want {
-			t.Fatalf("line %d: Debug %q != narrated %q", i, lines[i], want)
-		}
 	}
 }

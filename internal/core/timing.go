@@ -40,14 +40,10 @@ type Timing struct {
 	// MaxCycles guards against deadlock bugs.
 	MaxCycles int
 	// Sink, when set, receives a typed obs.Event per engine event — the
-	// cycle-by-cycle CCB/OVB narrative of the paper's Figure 7. With no
-	// sink attached the event path is skipped entirely (no rendering, no
-	// allocation).
+	// cycle-by-cycle CCB/OVB narrative of the paper's Figure 7
+	// (obs.TextFunc renders it as text lines). With no sink attached the
+	// event path is skipped entirely (no rendering, no allocation).
 	Sink obs.EventSink
-	// Trace is the legacy text hook: a line per engine event, rendered by
-	// the obs narrator byte-for-byte as the original tracer did. Ignored
-	// when Sink is set.
-	Trace func(cycle int, event string)
 
 	// Scratch reused across SimulateBlock calls (see the type comment).
 	resolveAt []int
@@ -105,24 +101,10 @@ type ccbEntry struct {
 	doneAt    int
 }
 
-// sink resolves the effective event sink for one simulation: the typed
-// sink if attached, else the legacy text hook adapted through the
-// narrator, else nil (tracing fully disabled).
-func (t *Timing) sink() obs.EventSink {
-	if t.Sink != nil {
-		return t.Sink
-	}
-	if t.Trace != nil {
-		trace := t.Trace
-		return obs.TextFunc(func(cycle int64, line string) { trace(int(cycle), line) })
-	}
-	return nil
-}
-
 // SimulateBlock plays one instance of the block. bs must be the schedule of
 // an.Block.
 func (t *Timing) SimulateBlock(bs *sched.BlockSched, an *BlockAnalysis, outcome uint32) (BlockResult, error) {
-	sink := t.sink()
+	sink := t.Sink
 	if bs.Block != an.Block {
 		return BlockResult{}, fmt.Errorf("core: schedule and analysis disagree on block")
 	}

@@ -6,6 +6,7 @@ import (
 
 	"vliwvp/internal/core"
 	"vliwvp/internal/machine"
+	"vliwvp/internal/obs"
 )
 
 // TestTraceNarratesFigure7States checks that the timing trace reproduces
@@ -16,7 +17,7 @@ func TestTraceNarratesFigure7States(t *testing.T) {
 	_, bs, an := paperSetup(t, d)
 	tm := core.NewTiming(d)
 	var lines []string
-	tm.Trace = func(cycle int, event string) { lines = append(lines, event) }
+	tm.Sink = obs.TextFunc(func(cycle int64, line string) { lines = append(lines, line) })
 
 	// Second load mispredicted (the paper's Figure 3(c)/7 case).
 	if _, err := tm.SimulateBlock(bs, an, 0b01); err != nil {

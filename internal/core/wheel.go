@@ -2,15 +2,13 @@ package core
 
 import "vliwvp/internal/ir"
 
-// The event wheel replaces the legacy engine's map[int64][]func() closure
-// scheduler with a fixed ring of typed-event slots. Ordering contract
-// (pinned by the engine-diff suite): events scheduled for the same cycle
-// execute in insertion order, exactly like the legacy per-cycle closure
-// slices. Far-future events past the wheel's horizon spill into an
-// overflow list; because the current cycle only moves forward, every
-// overflow event for a cycle was necessarily inserted before any ring
-// event for that cycle, so draining overflow first preserves insertion
-// order.
+// The event wheel is the engine's scheduler: a fixed ring of typed-event
+// slots. Ordering contract (pinned by the timing digest): events scheduled
+// for the same cycle execute in insertion order. Far-future events past
+// the wheel's horizon spill into an overflow list; because the current
+// cycle only moves forward, every overflow event for a cycle was
+// necessarily inserted before any ring event for that cycle, so draining
+// overflow first preserves insertion order.
 
 // wevKind discriminates the typed events the engine schedules.
 type wevKind uint8
@@ -67,8 +65,7 @@ type farEvent struct {
 }
 
 // schedule enqueues ev for the given cycle; now is the engine's current
-// cycle. The caller handles cycle <= now (immediate execution) itself,
-// mirroring the legacy at() contract.
+// cycle. The caller handles cycle <= now (immediate execution) itself.
 func (w *eventWheel) schedule(now, cycle int64, ev wev) {
 	w.pending++
 	if cycle-now < wheelSlots {
@@ -105,7 +102,7 @@ func (w *eventWheel) run(cycle int64, f func(*wev)) {
 }
 
 // len reports the number of in-flight events (drives the end-of-run drain
-// loop, as len(events) did for the legacy map).
+// loop).
 func (w *eventWheel) len() int { return w.pending }
 
 // reset drains the wheel without executing anything: every slot is

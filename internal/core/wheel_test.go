@@ -1,9 +1,9 @@
 package core
 
 // Boundary tests for the event wheel: ring wrap-around, same-cycle
-// insertion ordering (the legacy map-of-slices contract), far-future
-// scheduling past the ring horizon, and drain-on-reset. These pin the
-// scheduler the decode-once engine runs every cycle on.
+// insertion ordering, far-future scheduling past the ring horizon, and
+// drain-on-reset. These pin the scheduler the decode-once engine runs
+// every cycle on.
 
 import "testing"
 
@@ -33,8 +33,7 @@ func eqI64(a, b []int64) bool {
 func TestWheelSameCycleOrder(t *testing.T) {
 	var w eventWheel
 	// Ten events for one cycle must execute in insertion order — the
-	// legacy engine appended closures to a per-cycle slice, and the
-	// engine-diff suite compares event streams byte for byte.
+	// timing digest pins event streams field for field.
 	for i := int64(0); i < 10; i++ {
 		w.schedule(0, 5, wev{seq: i})
 	}

@@ -4,7 +4,8 @@ import (
 	"fmt"
 
 	"vliwvp/internal/baseline"
-	"vliwvp/internal/cache"
+	"vliwvp/internal/core"
+	"vliwvp/internal/machine"
 	"vliwvp/internal/profile"
 	"vliwvp/internal/stats"
 )
@@ -41,19 +42,13 @@ type BaselineRow struct {
 	DynCyclesOurs int64
 }
 
-// ICacheConfig sizes the instruction-cache model for the comparison.
-type ICacheConfig struct {
-	TotalWords int
-	LineWords  int
-	Ways       int
-}
-
-// DefaultICache is a small 2-way cache (in long-instruction words) that
-// makes capacity effects visible at kernel scale.
-var DefaultICache = ICacheConfig{TotalWords: 64, LineWords: 4, Ways: 2}
+// baselineICache is the instruction cache the comparison replays block
+// fetches through: a small 2-way true-LRU cache of 64 long-instruction
+// words that makes capacity effects visible at kernel scale.
+var baselineICache = machine.CacheParams{Lines: 16, Assoc: 2, LineWords: 4, HitLat: 1}
 
 // CompareBaseline runs the full comparison for one prepared benchmark.
-func (r *Runner) CompareBaseline(bd *BenchData, ic ICacheConfig) (BaselineRow, error) {
+func (r *Runner) CompareBaseline(bd *BenchData) (BaselineRow, error) {
 	row := BaselineRow{Name: bd.Bench.Name}
 	bm, err := baseline.Build(bd.Res, r.D, r.DDG, baseline.DefaultConfig())
 	if err != nil {
@@ -105,7 +100,7 @@ func (r *Runner) CompareBaseline(bd *BenchData, ic ICacheConfig) (BaselineRow, e
 	// cache model under both code layouts. The baseline layout appends
 	// every recovery block after its function; on a misprediction the
 	// recovery block is fetched too.
-	missBase, missOurs, err := r.icacheStudy(bd, bm, ic)
+	missBase, missOurs, err := r.icacheStudy(bd, bm)
 	if err != nil {
 		return row, err
 	}
@@ -171,18 +166,11 @@ func (r *Runner) buildLayout(bd *BenchData, bm *baseline.Model) *layout {
 }
 
 // icacheStudy replays the block-fetch trace under both layouts.
-func (r *Runner) icacheStudy(bd *BenchData, bm *baseline.Model, ic ICacheConfig) (base, ours float64, err error) {
+func (r *Runner) icacheStudy(bd *BenchData, bm *baseline.Model) (base, ours float64, err error) {
 	ourLayout := r.buildLayout(bd, nil)
 	baseLayout := r.buildLayout(bd, bm)
-
-	ourCache, err := cache.New(ic.TotalWords, ic.LineWords, ic.Ways)
-	if err != nil {
-		return 0, 0, err
-	}
-	baseCache, err := cache.New(ic.TotalWords, ic.LineWords, ic.Ways)
-	if err != nil {
-		return 0, 0, err
-	}
+	ourCache := core.NewLRUCache(baselineICache)
+	baseCache := core.NewLRUCache(baselineICache)
 
 	hooks := profile.OutcomeHooks{
 		OnBlock: func(bk profile.BlockKey) {
@@ -212,7 +200,7 @@ func (r *Runner) icacheStudy(bd *BenchData, bm *baseline.Model, ic ICacheConfig)
 // [4]-style machine and the proposed dual-engine one, both validated
 // against the sequential interpreter). Benchmarks fan across the runner's
 // worker pool; rows aggregate in input order.
-func RenderBaseline(r *Runner, ic ICacheConfig) (*stats.Table, []BaselineRow, error) {
+func RenderBaseline(r *Runner) (*stats.Table, []BaselineRow, error) {
 	t := &stats.Table{
 		Title: fmt.Sprintf("Comparison with static compensation blocks [4] (%s)", r.D.Name),
 		Headers: []string{"Benchmark", "Comp% [4]", "Comp% ours", "Sched [4]", "Sched ours",
@@ -225,7 +213,7 @@ func RenderBaseline(r *Runner, ic ICacheConfig) (*stats.Table, []BaselineRow, er
 		if err != nil {
 			return err
 		}
-		row, err := r.CompareBaseline(bd, ic)
+		row, err := r.CompareBaseline(bd)
 		if err != nil {
 			return err
 		}

@@ -229,24 +229,16 @@ func RunBenchGrid(d *machine.Desc, count int, log io.Writer) (*BenchRecord, erro
 		return nil, err
 	}
 
-	// Engine-comparison rows: the pinned simulation subset run back-to-back
-	// through the decoded batched engine and through the retained legacy
-	// stepper over identical compile products. cmd/benchdiff gates the
-	// decoded row's allocation count (steady-state pooling must hold at
-	// zero) and the wall-clock ratio between the two rows.
+	// Decoded-grid row: the pinned simulation subset run through the
+	// batched engine. cmd/benchdiff gates its allocation count
+	// (steady-state pooling must hold at zero).
 	gridItems := make([]core.BatchItem, 0, len(benchSims))
-	gridLegacy := make([]*core.LegacySimulator, 0, len(benchSims))
 	for _, name := range benchSims {
 		si, err := r.specImageFor(workload.ByName(name))
 		if err != nil {
 			return nil, fmt.Errorf("bench sim/decoded-grid (%s): %w", name, err)
 		}
 		gridItems = append(gridItems, core.BatchItem{Name: name, Img: si.Img, Schemes: si.Schemes})
-		leg, err := core.NewLegacySimulator(si.Img.Prog, si.Img.Sched, d, si.Schemes)
-		if err != nil {
-			return nil, fmt.Errorf("bench sim/legacy-grid (%s): %w", name, err)
-		}
-		gridLegacy = append(gridLegacy, leg)
 	}
 	batch := core.NewBatch()
 	gridResults := make([]core.BatchResult, 0, len(gridItems))
@@ -269,27 +261,6 @@ func RunBenchGrid(d *machine.Desc, count int, log io.Writer) (*BenchRecord, erro
 	}
 	if err := add("sim/decoded-grid", decodedCycles, runDecoded); err != nil {
 		return nil, err
-	}
-	var legacyCycles int64
-	runLegacy := func() error {
-		legacyCycles = 0
-		for i, sim := range gridLegacy {
-			if _, err := sim.Run("main"); err != nil {
-				return fmt.Errorf("%s: %w", benchSims[i], err)
-			}
-			legacyCycles += sim.Cycles
-		}
-		return nil
-	}
-	if err := runLegacy(); err != nil {
-		return nil, fmt.Errorf("bench sim/legacy-grid: %w", err)
-	}
-	if err := add("sim/legacy-grid", legacyCycles, runLegacy); err != nil {
-		return nil, err
-	}
-	if decodedCycles != legacyCycles {
-		return nil, fmt.Errorf("bench: engine divergence: decoded grid %d cycles != legacy grid %d",
-			decodedCycles, legacyCycles)
 	}
 
 	// Cached-grid row: the same batch and compile products with the

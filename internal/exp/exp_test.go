@@ -153,7 +153,7 @@ func TestBaselineComparisonShape(t *testing.T) {
 	r := exp.NewRunner(machine.W4)
 	for _, b := range workload.All() {
 		bd := prepare(t, r, b)
-		row, err := r.CompareBaseline(bd, exp.DefaultICache)
+		row, err := r.CompareBaseline(bd)
 		if err != nil {
 			t.Fatal(err)
 		}

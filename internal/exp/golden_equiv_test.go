@@ -51,7 +51,7 @@ func TestGoldenEquivalenceTables(t *testing.T) {
 	add("table3", func() (fmt.Stringer, error) { tab, _, err := RenderTable3(r); return tab, err })
 	add("fig8", func() (fmt.Stringer, error) { tab, _, err := RenderFigure8(r); return tab, err })
 	add("table4", func() (fmt.Stringer, error) { tab, _, err := RenderTable4(r.Jobs); return tab, err })
-	add("baseline", func() (fmt.Stringer, error) { tab, _, err := RenderBaseline(r, DefaultICache); return tab, err })
+	add("baseline", func() (fmt.Stringer, error) { tab, _, err := RenderBaseline(r); return tab, err })
 	add("speedup", func() (fmt.Stringer, error) { tab, _, err := RenderSpeedup(r); return tab, err })
 	add("threshold", func() (fmt.Stringer, error) { return RenderThresholdSweep(r.D, r.Jobs) })
 	add("predictors", func() (fmt.Stringer, error) { return RenderPredictorAblation(r.D, r.Jobs) })

@@ -47,7 +47,7 @@ func renderAll(t *testing.T, r *exp.Runner, full bool) string {
 		if err != nil {
 			t.Fatalf("RenderSpeedup: %v", err)
 		}
-		bl, _, err := exp.RenderBaseline(r, exp.DefaultICache)
+		bl, _, err := exp.RenderBaseline(r)
 		if err != nil {
 			t.Fatalf("RenderBaseline: %v", err)
 		}

@@ -244,7 +244,7 @@ type Event struct {
 	// Site is the prediction-site ID of a dynamic check.
 	Site int
 	// Predicted and Actual are the compared values of a check (or the
-	// supplied value of a LdPred), as the signed integers the Debug trace
+	// supplied value of a LdPred), as the signed integers the text trace
 	// always printed.
 	Predicted, Actual int64
 	// Reg, Value, Seq and LastSeq describe register write-back events.
@@ -265,10 +265,9 @@ type EventSink interface {
 	Event(e *Event)
 }
 
-// TextFunc adapts a plain line callback into an EventSink using the
-// legacy narrator. It is the bridge that keeps the old
-// Timing.Trace/Simulator.Debug string hooks working on top of typed
-// events.
+// TextFunc adapts a plain line callback into an EventSink: each event is
+// rendered by Narrate, so attaching one to core.Timing.Sink or
+// core.Simulator.Sink yields the simulator's text trace.
 type TextFunc func(cycle int64, line string)
 
 // Event renders and forwards the event.

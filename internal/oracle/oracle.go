@@ -55,12 +55,6 @@ type Config struct {
 	// flush/redirect latencies, optional dynamic branch predictor). The zero
 	// value is the pre-branch-predictor machine.
 	Ctrl machine.ControlConfig
-	// Engine selects the simulator implementation under test: "" or
-	// "decoded" drives the decode-once core.Simulator, "legacy" drives the
-	// retained core.LegacySimulator — so the oracle cross-checks BOTH
-	// engines against the interpreter, independently of the engine-diff
-	// suite that pins them against each other.
-	Engine string
 	// trialMaxCycles bounds minimization trials: shrinking the CCB under a
 	// program compiled for a larger speculative window can wedge the
 	// machine, and a wedged trial must abort fast, not run to the
@@ -156,92 +150,52 @@ func scheduleFor(prog *ir.Program, cfg Config) (*sched.ProgSched, error) {
 	return ctx.Sched, nil
 }
 
-// simRun is the architectural outcome of one simulator run, from either
-// engine implementation.
-type simRun struct {
-	value  uint64
-	err    error
-	output []string
-	mem    []uint64
-}
-
-// runEngine schedules the transformed program and executes it on the
-// configured engine (decoded by default, legacy on request).
-func runEngine(prog *ir.Program, schemes map[int]profile.Scheme, recLen map[int]int, cfg Config) (simRun, error) {
-	ps, err := scheduleFor(prog, cfg)
-	if err != nil {
-		return simRun{}, err
-	}
-	switch cfg.Engine {
-	case "", "decoded":
-		sim, err := core.NewSimulator(prog, ps, cfg.D, schemes)
-		if err != nil {
-			return simRun{}, err
-		}
-		if cfg.CCBCapacity > 0 {
-			sim.CCBCapacity = cfg.CCBCapacity
-		}
-		sim.Control = cfg.Ctrl
-		if cfg.SerialRecovery {
-			sim.SerialRecovery = true
-			sim.RecoveryLen = recLen
-		}
-		if cfg.trialMaxCycles > 0 {
-			sim.MaxCycles = cfg.trialMaxCycles
-		}
-		v, err := sim.Run("main")
-		return simRun{value: v, err: err, output: sim.Output, mem: sim.Memory()}, nil
-	case "legacy":
-		sim, err := core.NewLegacySimulator(prog, ps, cfg.D, schemes)
-		if err != nil {
-			return simRun{}, err
-		}
-		if cfg.CCBCapacity > 0 {
-			sim.CCBCapacity = cfg.CCBCapacity
-		}
-		sim.Control = cfg.Ctrl
-		if cfg.SerialRecovery {
-			sim.SerialRecovery = true
-			sim.RecoveryLen = recLen
-		}
-		if cfg.trialMaxCycles > 0 {
-			sim.MaxCycles = cfg.trialMaxCycles
-		}
-		v, err := sim.Run("main")
-		return simRun{value: v, err: err, output: sim.Output, mem: sim.Memory()}, nil
-	default:
-		return simRun{}, fmt.Errorf("oracle: unknown engine %q (want \"decoded\" or \"legacy\")", cfg.Engine)
-	}
-}
-
-// diff runs the simulator once and compares every architectural observable
-// against the reference. A simulator execution error is itself a
-// divergence (kind "sim-error"), not a check failure: the reference ran.
+// diff schedules the transformed program, runs it once on the dual-engine
+// simulator and compares every architectural observable against the
+// reference. A simulator execution error is itself a divergence (kind
+// "sim-error"), not a check failure: the reference ran.
 func diff(ref *refResult, prog *ir.Program, schemes map[int]profile.Scheme, recLen map[int]int, cfg Config) (kind, detail string, err error) {
-	run, err := runEngine(prog, schemes, recLen, cfg)
+	ps, err := scheduleFor(prog, cfg)
 	if err != nil {
 		return "", "", err
 	}
-	if run.err != nil {
-		return "sim-error", run.err.Error(), nil
+	sim, err := core.NewSimulator(prog, ps, cfg.D, schemes)
+	if err != nil {
+		return "", "", err
 	}
-	if run.value != ref.value {
-		return "value", fmt.Sprintf("simulator returned %d, interpreter %d", run.value, ref.value), nil
+	if cfg.CCBCapacity > 0 {
+		sim.CCBCapacity = cfg.CCBCapacity
 	}
-	if len(run.output) != len(ref.output) {
-		return "output", fmt.Sprintf("simulator printed %d lines, interpreter %d", len(run.output), len(ref.output)), nil
+	sim.Control = cfg.Ctrl
+	if cfg.SerialRecovery {
+		sim.SerialRecovery = true
+		sim.RecoveryLen = recLen
+	}
+	if cfg.trialMaxCycles > 0 {
+		sim.MaxCycles = cfg.trialMaxCycles
+	}
+	v, runErr := sim.Run("main")
+	if runErr != nil {
+		return "sim-error", runErr.Error(), nil
+	}
+	if v != ref.value {
+		return "value", fmt.Sprintf("simulator returned %d, interpreter %d", v, ref.value), nil
+	}
+	if len(sim.Output) != len(ref.output) {
+		return "output", fmt.Sprintf("simulator printed %d lines, interpreter %d", len(sim.Output), len(ref.output)), nil
 	}
 	for i := range ref.output {
-		if run.output[i] != ref.output[i] {
-			return "output", fmt.Sprintf("line %d: simulator %q, interpreter %q", i, run.output[i], ref.output[i]), nil
+		if sim.Output[i] != ref.output[i] {
+			return "output", fmt.Sprintf("line %d: simulator %q, interpreter %q", i, sim.Output[i], ref.output[i]), nil
 		}
 	}
-	if len(run.mem) != len(ref.mem) {
-		return "memory", fmt.Sprintf("memory size %d != %d", len(run.mem), len(ref.mem)), nil
+	mem := sim.Memory()
+	if len(mem) != len(ref.mem) {
+		return "memory", fmt.Sprintf("memory size %d != %d", len(mem), len(ref.mem)), nil
 	}
 	for i := range ref.mem {
-		if run.mem[i] != ref.mem[i] {
-			return "memory", fmt.Sprintf("word %d: simulator %d, interpreter %d", i, run.mem[i], ref.mem[i]), nil
+		if mem[i] != ref.mem[i] {
+			return "memory", fmt.Sprintf("word %d: simulator %d, interpreter %d", i, mem[i], ref.mem[i]), nil
 		}
 	}
 	return "", "", nil

@@ -51,33 +51,6 @@ func TestCheckSourceAgrees(t *testing.T) {
 	}
 }
 
-// TestEngineSelection pins Config.Engine: both engines must clear the
-// interpreter oracle independently (the decoded engine is the default;
-// the legacy stepper stays available as the retained differential
-// oracle), and an unknown engine is a harness error, not a divergence.
-func TestEngineSelection(t *testing.T) {
-	for _, engine := range []string{"", "decoded", "legacy"} {
-		for _, cfg := range []Config{
-			DefaultConfig(machine.W4),
-			{D: machine.W4, SerialRecovery: true, Ctrl: machine.ControlConfig{BranchPenalty: 1}},
-		} {
-			cfg.Engine = engine
-			div, err := CheckSource("mixed", mixedSrc, cfg)
-			if err != nil {
-				t.Fatalf("engine %q %+v: %v", engine, cfg, err)
-			}
-			if div != nil {
-				t.Errorf("engine %q: unexpected divergence: %v", engine, div)
-			}
-		}
-	}
-	cfg := DefaultConfig(machine.W4)
-	cfg.Engine = "warp"
-	if _, err := CheckSource("mixed", mixedSrc, cfg); err == nil {
-		t.Error("unknown engine accepted")
-	}
-}
-
 // TestDiffDetectsAndMinimizes drives the failure path with a doctored
 // reference, since the simulator (correctly) agrees with the real one: the
 // diff must flag the mismatch, and minimization must shrink the scheme map
