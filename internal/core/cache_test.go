@@ -2,14 +2,14 @@ package core
 
 // Unit tests for the memory-hierarchy timing model (cache.go): LRU
 // set-associative levels, hierarchical demand-access latency charging,
-// in-flight fill (late prefetch) residuals, the I-cache penalty model,
-// and the untimed LRUCache wrapper. The end-to-end contracts — flat
-// equivalence and cycles-only divergence — are pinned in memflat_test.go,
-// the timing digest and the conformance suite.
+// in-flight fill (late prefetch) residuals, and the I-cache penalty
+// model. The untimed LRUCache wrapper is tested from outside the package
+// in internal/cache. The end-to-end contracts — flat equivalence and
+// cycles-only divergence — are pinned in memflat_test.go, the timing
+// digest and the conformance suite.
 
 import (
 	"testing"
-	"testing/quick"
 
 	"vliwvp/internal/machine"
 )
@@ -136,70 +136,5 @@ func TestMemSysReset(t *testing.T) {
 	}
 	if pen, miss := m.iAccess(0, 0); pen != 60 || !miss {
 		t.Errorf("post-reset fetch pen=%d miss=%v, want cold-miss 60", pen, miss)
-	}
-}
-
-func TestLRUCacheCounts(t *testing.T) {
-	c := NewLRUCache(machine.CacheParams{Lines: 256, Assoc: 2, LineWords: 4})
-	if c.MissRate() != 0 {
-		t.Error("untouched cache reports a nonzero miss rate")
-	}
-	if c.Access(100) {
-		t.Error("cold access hit")
-	}
-	if r := c.MissRate(); r != 1 {
-		t.Errorf("one cold access: miss rate %v, want 1", r)
-	}
-	if !c.Access(100) {
-		t.Error("warm access missed")
-	}
-	if !c.Access(101) {
-		t.Error("same-line access missed")
-	}
-	if c.Hits != 2 || c.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 2/1", c.Hits, c.Misses)
-	}
-}
-
-func TestLRUCacheConflictEviction(t *testing.T) {
-	// Direct-mapped, 4 lines of 4 words: addresses 0 and 64 share set 0.
-	c := NewLRUCache(machine.CacheParams{Lines: 4, Assoc: 1, LineWords: 4})
-	c.Access(0)
-	c.Access(64)
-	if c.Access(0) {
-		t.Error("0 should have been evicted by 64 in a direct-mapped cache")
-	}
-}
-
-func TestLRUCacheAccessRange(t *testing.T) {
-	c := NewLRUCache(machine.CacheParams{Lines: 256, Assoc: 1, LineWords: 4})
-	if m := c.AccessRange(0, 10); m != 3 { // words 0..9 = lines 0,1,2
-		t.Errorf("cold range misses = %d, want 3", m)
-	}
-	if m := c.AccessRange(0, 10); m != 0 {
-		t.Errorf("warm range misses = %d, want 0", m)
-	}
-	if m := c.AccessRange(2, 4); m != 0 { // words 2..5 within lines 0,1
-		t.Errorf("overlap range misses = %d, want 0", m)
-	}
-}
-
-// Property: a footprint that fits the cache (any addresses within one
-// 128-word window of a 256-word, 2-way cache) misses only on first touch,
-// so replaying the access sequence hits every time.
-func TestLRUCacheSmallFootprintFullyCaches(t *testing.T) {
-	check := func(seed []byte) bool {
-		c := NewLRUCache(machine.CacheParams{Lines: 64, Assoc: 2, LineWords: 4})
-		for _, b := range seed {
-			c.Access(int64(b) % 128)
-		}
-		missesBefore := c.Misses
-		for _, b := range seed {
-			c.Access(int64(b) % 128)
-		}
-		return c.Misses == missesBefore
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
